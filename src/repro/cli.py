@@ -62,7 +62,7 @@ from repro.analysis import (
 )
 from repro.cache.dinero import format_dinero_report, simulate_dinero_trace
 from repro.core.diffreport import ReportDiff
-from repro.core.phases import PhaseAnalyzer
+from repro.core.phases import PhaseAnalyzer, PhasedAnalysis
 from repro.core.profiler import CCProf
 from repro.engine import backend_names, get_backend
 from repro.errors import AnalysisError, ReproError, ServiceError
@@ -216,35 +216,15 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``--scalar`` deprecation warning fires once per process, not once per
-#: in-process ``main()`` call — repeated CLI invocations in one run (the
-#: test suite, scripted sweeps) should not repeat it.
-_SCALAR_ALIAS_WARNED = False
-
-
-def _resolve_engine(args: argparse.Namespace, log: CliLogger):
-    """Resolve ``--engine`` / ``--engine-workers`` / deprecated ``--scalar``
-    into a configured engine backend.
+def _resolve_engine(args: argparse.Namespace):
+    """Resolve ``--engine`` / ``--engine-workers`` into a configured
+    engine backend.
 
     Unknown engine names never reach here: ``--engine`` is built with
     ``choices=backend_names()``, so argparse rejects them with exit code 2
     listing the registered backends.
     """
-    global _SCALAR_ALIAS_WARNED
     name = getattr(args, "engine", None)
-    if getattr(args, "scalar", False):
-        if name is not None and name != "scalar":
-            raise ReproError(
-                f"--scalar conflicts with --engine {name}; "
-                "--scalar is a deprecated alias for --engine scalar"
-            )
-        name = "scalar"
-        if not _SCALAR_ALIAS_WARNED:
-            _SCALAR_ALIAS_WARNED = True
-            log.warning(
-                "engine.deprecated_flag",
-                "--scalar is deprecated; use --engine scalar",
-            )
     backend = get_backend(name if name is not None else "batched")
     workers = getattr(args, "engine_workers", None)
     if workers is not None:
@@ -270,7 +250,7 @@ def _make_profiler(args: argparse.Namespace) -> CCProf:
         strict=getattr(args, "strict", False),
         inject=inject,
         budget=budget,
-        engine=_resolve_engine(args, _logger(args)),
+        engine=_resolve_engine(args),
         screen_first=getattr(args, "screen_first", False),
     )
 
@@ -329,8 +309,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     timeline = None
     if getattr(args, "stream", False):
-        analysis = _stream_analysis(args, profiler, profile.sampling.samples)
-        timeline = analysis.timeline_record()
+        with get_tracer().span("stream", window=args.window):
+            analysis = PhaseAnalyzer(
+                profiler.geometry, window=args.window
+            ).analyze(profile.sampling.samples)
+        timeline = analysis.timeline_record(engine=profiler.backend.name)
         _log_stream_summary(log, args, analysis)
         jsonl = getattr(args, "timeline_jsonl", None)
         if jsonl:
@@ -349,34 +332,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stream_analysis(args: argparse.Namespace, profiler: CCProf, samples):
-    """Run the engine's windowed streaming hook over profiled samples."""
-    tracer = get_tracer()
-    with tracer.span("stream", window=args.window):
-        return profiler.backend.windowed_phases(
-            samples, profiler.geometry, window=args.window
-        )
-
-
-def _log_stream_summary(log: CliLogger, args: argparse.Namespace, analysis) -> None:
-    """The streaming timeline's result lines (profile/phases --stream)."""
-    engine = analysis.engine
-    if analysis.fallback_from is not None:
-        log.warning(
-            "stream.fallback",
-            f"engine {analysis.fallback_from!r} has no windowed path; "
-            f"ran on {engine!r} (decision recorded in the manifest)",
-            requested=analysis.fallback_from,
-            ran=engine,
-        )
+def _log_stream_summary(
+    log: CliLogger, args: argparse.Namespace, analysis: PhasedAnalysis
+) -> None:
+    """The phase timeline's result lines (profile --stream)."""
     log.result(
         "stream.summary",
-        f"streaming: {len(analysis.summaries)} windows of ~{args.window} "
-        f"samples; {analysis.conflict_fraction:.0%} conflicting; "
-        f"peak tracked state {analysis.peak_tracked} entries",
-        windows=len(analysis.summaries),
+        f"streaming: {len(analysis.phases)} windows of ~{args.window} "
+        f"samples; {analysis.conflict_fraction:.0%} conflicting",
+        windows=len(analysis.phases),
         conflict_fraction=analysis.conflict_fraction,
-        peak_tracked=analysis.peak_tracked,
     )
     transitions = analysis.transitions()
     if transitions:
@@ -638,15 +603,8 @@ def _cmd_phases(args: argparse.Namespace) -> int:
     workload = _resolve_workload(args.workload)
     profiler = _make_profiler(args)
     profile = profiler.profile(workload)
-    if getattr(args, "stream", False):
-        # The incremental engine: same verdicts (bit-identical, pinned by
-        # tests), O(window) memory instead of the whole sample list.
-        streaming = _stream_analysis(args, profiler, profile.sampling.samples)
-        _log_stream_summary(log, args, streaming)
-        analysis = streaming.to_phased()
-    else:
-        analyzer = PhaseAnalyzer(profiler.geometry, window=args.window)
-        analysis = analyzer.analyze(profile.sampling.samples)
+    analyzer = PhaseAnalyzer(profiler.geometry, window=args.window)
+    analysis = analyzer.analyze(profile.sampling.samples)
     log.result(
         "phases.summary",
         f"{workload.name}: {len(analysis.phases)} phases of ~{args.window} "
@@ -839,11 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker-process count for parallel engines (sharded); "
                  "other engines reject the option",
         )
-        sub.add_argument(
-            "--scalar", action="store_true",
-            help="deprecated alias for --engine scalar (the per-access "
-                 "reference engine)",
-        )
         add_strictness(sub)
         _add_obs_flags(sub)
         if needs_output:
@@ -887,14 +840,12 @@ def build_parser() -> argparse.ArgumentParser:
                 "--window", type=int, default=256,
                 help="samples per analysis window (default: 256)",
             )
+        if verb == "profile":
             sub.add_argument(
                 "--stream", action="store_true",
-                help="windowed streaming analysis: consume the sample "
-                     "stream incrementally with O(window) state, emitting "
-                     "a phase timeline (bit-identical verdicts to the "
-                     "batch analyzer)",
+                help="windowed phase analysis of the profiled samples: "
+                     "log the phase timeline and record it in the manifest",
             )
-        if verb == "profile":
             sub.add_argument(
                 "--timeline-jsonl", default=None, metavar="PATH",
                 help="with --stream: export one JSON record per window "

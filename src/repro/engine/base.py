@@ -113,83 +113,8 @@ class EngineBackend(ABC):
         ``contribution_below()``...
         """
 
-    def windowed_phases(
-        self,
-        samples: Any,
-        geometry: "CacheGeometry",
-        *,
-        window: int = 256,
-        rcd_threshold: Optional[int] = None,
-        cf_boundary: float = 0.25,
-        min_window: int = 32,
-        chunk_size: Optional[int] = None,
-        on_window: Any = None,
-    ) -> Any:
-        """Streaming windowed conflict analysis over a sample stream.
-
-        ``samples`` is an address column (``ndarray``) or an iterable of
-        :class:`~repro.pmu.sampler.AddressSample` records; the stream is
-        consumed chunk-by-chunk with O(window) tracked state.  Returns a
-        :class:`~repro.core.streaming.StreamingAnalysis` whose phase
-        verdicts are bit-identical to the batch
-        :class:`~repro.core.phases.PhaseAnalyzer` on the same stream
-        (every backend shares this contract, like the other hooks).
-
-        Backends declaring the ``"windowed"`` capability process the
-        stream natively.  The base implementation is the **recorded
-        fallback** for backends that don't (e.g. ``sharded``, whose
-        per-set fan-out cannot help a windowed scan): it bumps
-        ``engine.<name>.windowed_fallback``, routes through the chunked
-        columnar path, and stamps the analysis with ``fallback_from`` so
-        manifests show which engine was asked vs which ran.
-        """
-        from repro.core.streaming import (
-            DEFAULT_CHUNK_SIZE,
-            StreamingPhaseAnalyzer,
-            iter_address_chunks,
-        )
-        from repro.obs.metrics import get_registry
-
-        fallback = "windowed" not in self.capabilities
-        if fallback:
-            get_registry().counter(
-                f"engine.{self.name}.windowed_fallback"
-            ).inc()
-        analyzer = StreamingPhaseAnalyzer(
-            geometry,
-            window=window,
-            rcd_threshold=(
-                rcd_threshold
-                if rcd_threshold is not None
-                else _default_rcd_threshold()
-            ),
-            cf_boundary=cf_boundary,
-            # Small windows clamp the fold floor: callers setting only
-            # `window` (CLI --window, service jobs) should not have to
-            # know min_window's default exceeds tiny windows.
-            min_window=min(min_window, window),
-            on_window=on_window,
-        )
-        for chunk in iter_address_chunks(
-            samples, chunk_size or DEFAULT_CHUNK_SIZE
-        ):
-            analyzer.feed_addresses(chunk)
-        analysis = analyzer.finish(
-            engine="batched" if fallback else self.name
-        )
-        if fallback:
-            analysis.fallback_from = self.name
-        return analysis
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def _default_rcd_threshold() -> int:
-    """Lazy import of the paper's default T (keeps this module cheap)."""
-    from repro.core.contribution import DEFAULT_RCD_THRESHOLD
-
-    return DEFAULT_RCD_THRESHOLD
 
 
 #: Name -> backend singleton.  Mutated only through the functions below.

@@ -27,7 +27,7 @@ class BatchedBackend(EngineBackend):
     """Columnar single-process kernels (``AddressSampler.run_batched``)."""
 
     name = "batched"
-    capabilities = frozenset({"columnar", "windowed"})
+    capabilities = frozenset({"columnar"})
 
     def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         self.batch_size = batch_size

@@ -24,7 +24,7 @@ class ScalarBackend(EngineBackend):
     """Per-access reference loops (``AddressSampler.run``, scalar RCD)."""
 
     name = "scalar"
-    capabilities = frozenset({"reference", "windowed"})
+    capabilities = frozenset({"reference"})
 
     def sample(
         self,
@@ -59,42 +59,3 @@ class ScalarBackend(EngineBackend):
         return RcdAnalysis.from_addresses(
             (int(address) for address in addresses), geometry
         )
-
-    def windowed_phases(
-        self,
-        samples: Any,
-        geometry: CacheGeometry,
-        *,
-        window: int = 256,
-        rcd_threshold: Optional[int] = None,
-        cf_boundary: float = 0.25,
-        min_window: int = 32,
-        chunk_size: Optional[int] = None,  # noqa: ARG002 - scalar is unchunked
-        on_window: Any = None,
-    ) -> Any:
-        from repro.core.contribution import DEFAULT_RCD_THRESHOLD
-        from repro.core.streaming import StreamingPhaseAnalyzer
-
-        analyzer = StreamingPhaseAnalyzer(
-            geometry,
-            window=window,
-            rcd_threshold=(
-                rcd_threshold
-                if rcd_threshold is not None
-                else DEFAULT_RCD_THRESHOLD
-            ),
-            cf_boundary=cf_boundary,
-            min_window=min(min_window, window),
-            on_window=on_window,
-        )
-        # Reference semantics: one scalar set_index per sample, in stream
-        # order — no batching, no vectorized index extraction.
-        import numpy as np
-
-        if isinstance(samples, np.ndarray):
-            analyzer.feed_sets(
-                geometry.set_index(int(address)) for address in samples
-            )
-        else:
-            analyzer.feed(samples)
-        return analyzer.finish(engine=self.name)

@@ -763,14 +763,6 @@ class ShardedBackend(EngineBackend):
         rcd_crossover: Miss sequences below this compute their RCD shards
             serially (the merge is identical; only wall-clock differs).
         mp_context: Explicit multiprocessing context (tests use this).
-
-    Sharded deliberately does **not** declare the ``"windowed"``
-    capability: streaming windowed analysis is a sequential scan whose
-    per-window state fits in cache, so per-set fan-out buys nothing and
-    the arena setup would be pure overhead.  ``windowed_phases`` falls
-    back to the chunked columnar path via the base implementation, which
-    records the decision (``engine.sharded.windowed_fallback`` counter,
-    ``fallback_from`` in the resulting timeline).
     """
 
     name = "sharded"

@@ -28,8 +28,8 @@ from repro.errors import ReproError
 MANIFEST_VERSION = 1
 
 #: Bumped on any incompatible change to the ``timeline`` section layout
-#: (the streaming windowed analysis writes it; see
-#: :meth:`repro.core.streaming.StreamingAnalysis.timeline_record`).
+#: (the windowed phase analysis writes it; see
+#: :meth:`repro.core.phases.PhasedAnalysis.timeline_record`).
 TIMELINE_VERSION = 1
 
 #: Required / optional keys of the ``timeline`` section (strict: anything
@@ -47,6 +47,8 @@ _TIMELINE_REQUIRED = {
     "coalesced": bool,
     "windows": list,
 }
+#: ``fallback_from`` is read but no longer written: older manifests name
+#: the engine a windowed run was requested on when it ran elsewhere.
 _TIMELINE_OPTIONAL = {
     "fallback_from": str,
 }
@@ -171,7 +173,7 @@ class RunManifest:
         data_quality: The report's DataQuality section as a dict.
         sampling: Run totals (samples/events/accesses, truncation).
         outputs: Artifact paths written alongside this manifest.
-        timeline: Streaming windowed-analysis timeline (versioned,
+        timeline: Windowed phase-analysis timeline (versioned,
             strict-schema — see :data:`TIMELINE_VERSION`); None for runs
             without ``--stream``.
     """

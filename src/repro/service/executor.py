@@ -42,6 +42,7 @@ from repro.analysis import (
     ScreeningAnalysis,
     StaticModel,
 )
+from repro.core.phases import PhaseAnalyzer
 from repro.errors import AnalysisError, ReproError, WorkerCrashError
 from repro.obs.metrics import get_registry
 from repro.pmu.periods import UniformJitterPeriod
@@ -280,27 +281,25 @@ class JobExecutor:
     def _windowed_timeline(
         self, request: JobRequest, profiler, samples
     ) -> Dict[str, object]:
-        """Streaming windowed analysis for a long-running profile job.
+        """Windowed phase analysis for a profile job, as a wire timeline.
 
-        Per-window progress rides the obs layer — the daemon's telemetry
-        snapshot shows ``service.jobs.window.completed`` advancing while
-        the job runs, which is how operators see a long job is alive and
-        where its conflict phases fall.
+        The daemon's telemetry snapshot counts the analyzed windows in
+        ``service.jobs.window.*``, which is where operators see how much
+        of the fleet's work falls in conflict phases.
         """
+        analysis = PhaseAnalyzer(
+            profiler.geometry, window=request.window
+        ).analyze(samples)
         registry = get_registry()
-
-        def on_window(summary) -> None:
-            registry.counter("service.jobs.window.completed").inc()
-            if summary.has_conflict:
-                registry.counter("service.jobs.window.conflicts").inc()
-
-        analysis = profiler.backend.windowed_phases(
-            samples,
-            profiler.geometry,
-            window=request.window,
-            on_window=on_window,
+        registry.counter("service.jobs.window.completed").inc(
+            len(analysis.phases)
         )
-        return analysis.timeline_record(max_windows=WIRE_TIMELINE_WINDOWS)
+        conflicts = len(analysis.conflict_phases())
+        if conflicts:
+            registry.counter("service.jobs.window.conflicts").inc(conflicts)
+        return analysis.timeline_record(
+            max_windows=WIRE_TIMELINE_WINDOWS, engine=profiler.backend.name
+        )
 
     def _compare(self, request: JobRequest) -> ExecutionResult:
         name, _, variant = request.workload.partition(":")

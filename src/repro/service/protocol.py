@@ -88,10 +88,10 @@ class JobRequest:
             Validated against the engine registry by the executor, so a
             daemon with extra backends registered accepts them without a
             protocol change.
-        window: Optional streaming-analysis window (samples) for profile
-            jobs.  When set, the executor runs the windowed streaming
-            analysis over the profiled samples, reports per-window
-            progress via ``service.jobs.window.*`` telemetry, and the
+        window: Optional phase-analysis window (samples) for profile
+            jobs.  When set, the executor runs the windowed phase
+            analysis over the profiled samples, counts its windows in
+            ``service.jobs.window.*`` telemetry, and the
             result carries a timeline summary.  Older daemons ignore the
             field (``from_dict`` drops unknown keys), so setting it is
             wire-compatible.

@@ -10,7 +10,7 @@ paper prefers sampling over full tracing.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -56,25 +56,6 @@ def filter_by_range(stream: TraceStream, start: int, end: int) -> Iterator[Memor
 def filter_loads(stream: TraceStream) -> Iterator[MemoryAccess]:
     """Keep only data loads — the accesses the paper's PMU event counts."""
     return (access for access in stream if access.is_load)
-
-
-def map_accesses(
-    stream: TraceStream, transform: Callable[[MemoryAccess], MemoryAccess]
-) -> Iterator[MemoryAccess]:
-    """Apply a per-access transform (e.g. address relocation)."""
-    return (transform(access) for access in stream)
-
-
-def relocate(stream: TraceStream, delta: int) -> Iterator[MemoryAccess]:
-    """Shift every data address by ``delta`` bytes."""
-    for access in stream:
-        yield MemoryAccess(
-            ip=access.ip,
-            address=access.address + delta,
-            kind=access.kind,
-            size=access.size,
-            thread_id=access.thread_id,
-        )
 
 
 def interleave_round_robin(streams: Sequence[TraceStream], chunk: int = 1) -> Iterator[MemoryAccess]:
@@ -151,23 +132,6 @@ def filter_batches_by_ip(
             yield batch
         elif mask.any():
             yield batch[mask]
-
-
-def take_batches(batches: BatchStream, count: int) -> Iterator[TraceBatch]:
-    """Yield at most ``count`` accesses from a batch stream, splitting the
-    final batch as needed (batch analogue of :func:`take`)."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative: {count}")
-    remaining = count
-    for batch in batches:
-        if remaining <= 0:
-            return
-        if len(batch) <= remaining:
-            remaining -= len(batch)
-            yield batch
-        else:
-            yield batch[:remaining]
-            return
 
 
 def concat_batch_streams(*streams: BatchStream) -> Iterator[TraceBatch]:

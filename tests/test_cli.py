@@ -363,13 +363,7 @@ class TestSelfOverheadCommand:
 
 
 class TestEngineFlags:
-    """--engine NAME replaces --scalar; the old flag stays as an alias."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_alias_warning(self, monkeypatch):
-        import repro.cli
-
-        monkeypatch.setattr(repro.cli, "_SCALAR_ALIAS_WARNED", False)
+    """--engine NAME picks the simulation engine backend."""
 
     def test_engine_scalar_profiles(self, capsys):
         code = main(
@@ -389,35 +383,6 @@ class TestEngineFlags:
         assert code == 0
         assert "samples" in capsys.readouterr().out
 
-    def test_engine_choice_matches_scalar_flag_output(self, capsys):
-        assert main(
-            ["profile", "symmetrization", "--period", "50",
-             "--engine", "scalar"]
-        ) == 0
-        via_engine = capsys.readouterr().out
-        assert main(
-            ["profile", "symmetrization", "--period", "50", "--scalar"]
-        ) == 0
-        via_alias = capsys.readouterr().out
-        assert "deprecated" in via_alias
-        assert via_engine in via_alias.replace(
-            "--scalar is deprecated; use --engine scalar\n", ""
-        ) or via_engine == via_alias.replace(
-            "--scalar is deprecated; use --engine scalar\n", ""
-        )
-
-    def test_scalar_alias_warns_once_per_process(self, capsys):
-        assert main(
-            ["profile", "symmetrization", "--period", "50", "--scalar"]
-        ) == 0
-        first = capsys.readouterr()
-        assert "deprecated" in (first.out + first.err)
-        assert main(
-            ["profile", "symmetrization", "--period", "50", "--scalar"]
-        ) == 0
-        second = capsys.readouterr()
-        assert "deprecated" not in (second.out + second.err)
-
     def test_unknown_engine_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -425,12 +390,6 @@ class TestEngineFlags:
             )
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
-
-    def test_scalar_conflicts_with_other_engine(self, capsys):
-        assert main(
-            ["profile", "symmetrization", "--scalar", "--engine", "batched"]
-        ) == 1
-        assert "deprecated alias" in capsys.readouterr().err
 
     def test_workers_rejected_by_serial_engines(self, capsys):
         code = main(
@@ -484,7 +443,7 @@ class TestLruStreamWorkload:
 
 
 class TestStreamingCli:
-    """profile/phases --stream: the continuous-profiling surface."""
+    """profile --stream and phases: the windowed phase-analysis surface."""
 
     def test_profile_stream_writes_timeline_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -499,6 +458,7 @@ class TestStreamingCli:
         timeline = record["timeline"]
         assert timeline["version"] == 1
         assert timeline["window"] == 64
+        assert timeline["engine"] == "batched"  # the profile's engine
         assert timeline["windows"]
         # And inspect renders the phase picture from that manifest.
         assert main(["inspect", str(manifest)]) == 0
@@ -517,17 +477,18 @@ class TestStreamingCli:
         assert records
         assert all("cf" in r and "victim_sets" in r for r in records)
 
-    def test_phases_stream_matches_batch_output(self, capsys):
+    def test_phases_small_window_clamps_fold_floor(self, capsys):
+        # --window below the default min_window (32) used to exit 7.
         assert main(["phases", "symmetrization", "--period", "50",
-                     "--window", "64"]) == 0
-        batch_out = capsys.readouterr().out
-        assert main(["phases", "symmetrization", "--period", "50",
-                     "--window", "64", "--stream"]) == 0
-        stream_out = capsys.readouterr().out
-        # Bit-identical verdicts render byte-identical phase tables.
-        batch_table = [l for l in batch_out.splitlines() if "phase" in l]
-        stream_table = [l for l in stream_out.splitlines() if "phase" in l]
-        assert batch_table == stream_table
+                     "--window", "16"]) == 0
+        out = capsys.readouterr().out
+        assert "phases of ~16 samples" in out
+        assert "  phase   0: cf=" in out
+
+    def test_phases_has_no_stream_switch(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["phases", "symmetrization", "--stream"])
+        assert excinfo.value.code == 2
 
     def test_no_stream_no_timeline(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"

@@ -1,8 +1,11 @@
-"""Tests for repro.core.streaming — incremental windowed RCD analysis.
+"""Tests for the windowed phase analysis' timeline surface.
 
-The load-bearing suite here is the differential one: every verdict the
-streaming analyzer emits must be bit-identical to the batch
-:class:`~repro.core.phases.PhaseAnalyzer` on the same samples, including
+``ccprof profile --stream``, the service's ``window`` jobs and the
+manifest ``timeline`` section all run :class:`~repro.core.phases.PhaseAnalyzer`.
+The load-bearing suite here is the differential one: every window the
+vectorized analyzer emits must be bit-identical to the scalar oracle in
+``tests/phase_oracle.py`` on the same samples — every
+:class:`~repro.core.phases.PhaseReport` field, the three mergeable counts,
 the trailing ``min_window`` fold and every contribution-factor float.
 """
 
@@ -11,21 +14,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
-from repro.core.phases import PhaseAnalyzer
-from repro.core.streaming import (
-    StreamingPhaseAnalyzer,
-    WindowSummary,
-    iter_address_chunks,
-)
-from repro.engine import get_backend
+from repro.cache.hashing import XorFoldedGeometry
+from repro.core.phases import PhaseAnalyzer, PhaseReport
 from repro.errors import AnalysisError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.tracing import Tracer, use_tracer
 from repro.pmu.periods import FixedPeriod
-from repro.pmu.sampler import AddressSampler
+from repro.pmu.sampler import AddressSample, AddressSampler
 from tests.conftest import make_load
+from tests.phase_oracle import OraclePhaseAnalyzer
 
 
 def sampled(trace, geometry, period=5, policy="lru"):
@@ -56,14 +57,17 @@ def mixed_trace(geometry):
     )
 
 
-def stream_verdicts(samples, geometry, **kwargs):
-    analyzer = StreamingPhaseAnalyzer(geometry, **kwargs)
-    analyzer.feed(samples)
-    return analyzer.finish()
+def analyze(samples, geometry, **kwargs):
+    return PhaseAnalyzer(geometry, **kwargs).analyze(samples)
+
+
+def assert_matches_oracle(samples, geometry, **kwargs):
+    oracle = OraclePhaseAnalyzer(geometry, **kwargs).analyze(samples)
+    assert analyze(samples, geometry, **kwargs).phases == oracle
 
 
 class TestBitIdentity:
-    """Streaming == batch, field for field, float for float."""
+    """Vectorized == scalar oracle, field for field, float for float."""
 
     @pytest.mark.parametrize("policy", ["lru", "plru"])
     @pytest.mark.parametrize(
@@ -72,9 +76,7 @@ class TestBitIdentity:
     def test_matches_batch_oracle(self, paper_l1, policy, make_trace):
         samples = sampled(make_trace(paper_l1), paper_l1, policy=policy)
         assert samples  # the workload must actually produce misses
-        batch = PhaseAnalyzer(paper_l1, window=128).analyze(samples)
-        streamed = stream_verdicts(samples, paper_l1, window=128)
-        assert streamed.to_phased() == batch
+        assert_matches_oracle(samples, paper_l1, window=128)
 
     @pytest.mark.parametrize(
         "window,min_window",
@@ -82,13 +84,9 @@ class TestBitIdentity:
     )
     def test_matches_across_window_settings(self, paper_l1, window, min_window):
         samples = sampled(mixed_trace(paper_l1), paper_l1)
-        batch = PhaseAnalyzer(
-            paper_l1, window=window, min_window=min_window
-        ).analyze(samples)
-        streamed = stream_verdicts(
+        assert_matches_oracle(
             samples, paper_l1, window=window, min_window=min_window
         )
-        assert streamed.to_phased() == batch
 
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 255, 256, 257, 513])
     def test_matches_at_fold_edges(self, paper_l1, length):
@@ -97,9 +95,7 @@ class TestBitIdentity:
         # trace (length < 256 -> a single undersized window) and a
         # mid-window cut (length % window != 0).
         samples = sampled(conflict_phase(paper_l1), paper_l1)[:length]
-        batch = PhaseAnalyzer(paper_l1, window=256).analyze(samples)
-        streamed = stream_verdicts(samples, paper_l1, window=256)
-        assert streamed.to_phased() == batch
+        assert_matches_oracle(samples, paper_l1, window=256)
 
     def test_mid_window_budget_cut_matches(self, paper_l1):
         # A sampling budget that fires mid-run truncates the stream at an
@@ -113,52 +109,44 @@ class TestBitIdentity:
         )
         result = sampler.run(conflict_phase(paper_l1))
         assert result.truncated
-        samples = result.samples
-        batch = PhaseAnalyzer(paper_l1, window=128).analyze(samples)
-        assert stream_verdicts(samples, paper_l1, window=128).to_phased() == batch
-
-    def test_chunk_size_invariance(self, paper_l1):
-        samples = sampled(mixed_trace(paper_l1), paper_l1)
-        whole = stream_verdicts(samples, paper_l1, window=64)
-        ragged = StreamingPhaseAnalyzer(paper_l1, window=64)
-        cursor, step = 0, 1
-        while cursor < len(samples):
-            ragged.feed(samples[cursor:cursor + step])
-            cursor += step
-            step = step % 97 + 7  # ragged, never window-aligned
-        assert ragged.finish().to_phased() == whole.to_phased()
+        assert_matches_oracle(result.samples, paper_l1, window=128)
 
     def test_feed_addresses_matches_feed(self, paper_l1):
+        # An address column and the sample records it came from agree.
         samples = sampled(mixed_trace(paper_l1), paper_l1)
-        by_record = stream_verdicts(samples, paper_l1, window=64)
-        by_column = StreamingPhaseAnalyzer(paper_l1, window=64)
         column = np.array([s.address for s in samples], dtype=np.uint64)
-        for chunk in iter_address_chunks(column, chunk_size=100):
-            by_column.feed_addresses(chunk)
-        assert by_column.finish().to_phased() == by_record.to_phased()
+        assert (
+            analyze(column, paper_l1, window=64)
+            == analyze(samples, paper_l1, window=64)
+        )
 
-
-class TestBoundedState:
-    def test_peak_tracked_is_o_window(self, paper_l1):
-        window = 64
-        samples = sampled(conflict_phase(paper_l1, laps=2000), paper_l1)
-        assert len(samples) >= 10 * window  # long stream, small window
-        analysis = stream_verdicts(samples, paper_l1, window=window)
-        # Tracked state: the in-progress window's raw set buffer (<=
-        # window) plus two trackers of <= 2*window dict entries each.
-        assert analysis.peak_tracked <= 5 * window
-        assert analysis.total_samples == len(samples)
-
-    def test_peak_does_not_grow_with_stream_length(self, paper_l1):
-        short = sampled(conflict_phase(paper_l1, laps=200), paper_l1)
-        long = sampled(conflict_phase(paper_l1, laps=2000), paper_l1)
-        assert len(long) > 5 * len(short)
-        peak_short = stream_verdicts(short, paper_l1, window=64).peak_tracked
-        peak_long = stream_verdicts(long, paper_l1, window=64).peak_tracked
-        assert peak_long <= peak_short + 64  # bounded, not proportional
+    @given(
+        lines=st.lists(
+            st.integers(min_value=0, max_value=(1 << 12) - 1), max_size=300
+        ),
+        window=st.integers(min_value=1, max_value=80),
+        fold=st.integers(min_value=1, max_value=80),
+        threshold=st.integers(min_value=1, max_value=40),
+        hashed=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_on_random_streams(
+        self, lines, window, fold, threshold, hashed
+    ):
+        geometry = XorFoldedGeometry() if hashed else CacheGeometry()
+        samples = [
+            AddressSample(ip=0, address=line * 64, event_index=i, access_index=i)
+            for i, line in enumerate(lines)
+        ]
+        assert_matches_oracle(
+            samples, geometry, window=window,
+            min_window=min(fold, window), rcd_threshold=threshold,
+        )
 
 
 class TestWindowSummary:
+    """PhaseReport as a mergeable window summary."""
+
     def summary(self, **kwargs):
         base = dict(
             index=0,
@@ -172,7 +160,7 @@ class TestWindowSummary:
             sets_touched=8,
         )
         base.update(kwargs)
-        return WindowSummary(**base)
+        return PhaseReport(**base)
 
     def test_merge_adds_counts_and_recomputes_cf(self):
         left = self.summary()
@@ -180,7 +168,7 @@ class TestWindowSummary:
             index=1, first_sample=100, short_rcds=30,
             contribution_factor=0.3, victim_sets=[2, 3],
         )
-        merged = left.merge(right, cf_boundary=0.25)
+        merged = left.merge(right)
         assert merged.sample_count == 200
         assert merged.short_rcds == 40
         assert merged.contribution_factor == 40 / 200
@@ -192,24 +180,19 @@ class TestWindowSummary:
     def test_merge_conflict_is_sticky(self):
         left = self.summary(has_conflict=True, contribution_factor=0.9)
         right = self.summary(index=1, first_sample=100, short_rcds=0)
-        assert left.merge(right, cf_boundary=0.25).has_conflict
+        assert left.merge(right).has_conflict
 
     def test_merge_rejects_out_of_order(self):
         later = self.summary(index=1, first_sample=100)
         with pytest.raises(AnalysisError, match="later window"):
-            later.merge(self.summary(), cf_boundary=0.25)
-
-    def test_to_phase_report_round_trip(self):
-        report = self.summary().to_phase_report()
-        assert report.sample_count == 100
-        assert report.victim_sets == [1]
+            later.merge(self.summary())
 
 
 class TestTimeline:
     def test_timeline_record_coalesces_to_cap(self, paper_l1):
         samples = sampled(conflict_phase(paper_l1, laps=2000), paper_l1)
-        analysis = stream_verdicts(samples, paper_l1, window=64)
-        assert len(analysis.summaries) > 16
+        analysis = analyze(samples, paper_l1, window=64)
+        assert len(analysis.phases) > 16
         record = analysis.timeline_record(max_windows=16)
         assert record["coalesced"] is True
         assert 1 <= len(record["windows"]) <= 16
@@ -217,26 +200,30 @@ class TestTimeline:
         assert sum(w["samples"] for w in record["windows"]) == len(samples)
         assert any(w["conflict"] for w in record["windows"])
         assert sum(w["merged_from"] for w in record["windows"]) == len(
-            analysis.summaries
+            analysis.phases
         )
 
     def test_timeline_record_validates_against_manifest_schema(self, paper_l1):
         from repro.obs.manifest import validate_timeline
 
         samples = sampled(mixed_trace(paper_l1), paper_l1)
-        record = stream_verdicts(samples, paper_l1, window=64).timeline_record()
+        record = analyze(samples, paper_l1, window=64).timeline_record(
+            engine="batched"
+        )
         validate_timeline(record)  # must not raise
         assert record["version"] == 1
         assert record["total_samples"] == len(samples)
+        assert record["engine"] == "batched"
+        assert "fallback_from" not in record
 
     def test_timeline_record_rejects_bad_cap(self, paper_l1):
-        analysis = stream_verdicts([], paper_l1)
+        analysis = analyze([], paper_l1)
         with pytest.raises(AnalysisError, match="max_windows"):
             analysis.timeline_record(max_windows=0)
 
     def test_transitions_and_victims(self, paper_l1):
         samples = sampled(mixed_trace(paper_l1), paper_l1)
-        analysis = stream_verdicts(samples, paper_l1, window=64)
+        analysis = analyze(samples, paper_l1, window=64)
         flips = analysis.transitions()
         assert flips  # clean -> conflict -> clean flips at least once
         assert 0 < analysis.conflict_fraction < 1
@@ -244,13 +231,13 @@ class TestTimeline:
 
     def test_export_jsonl(self, tmp_path, paper_l1):
         samples = sampled(mixed_trace(paper_l1), paper_l1)
-        analysis = stream_verdicts(samples, paper_l1, window=64)
+        analysis = analyze(samples, paper_l1, window=64)
         path = tmp_path / "timeline.jsonl"
         count = analysis.export_jsonl(path)
         records = [
             json.loads(line) for line in path.read_text().splitlines()
         ]
-        assert count == len(records) == len(analysis.summaries)
+        assert count == len(records) == len(analysis.phases)
         assert [r["index"] for r in records] == list(range(count))
 
 
@@ -259,33 +246,28 @@ class TestObservability:
         registry = MetricsRegistry(enabled=True)
         samples = sampled(conflict_phase(paper_l1), paper_l1)
         with use_registry(registry):
-            analysis = stream_verdicts(samples, paper_l1, window=64)
+            analysis = analyze(samples, paper_l1, window=64)
         emitted = registry.counter("analysis.window.emitted").value
-        assert emitted == len(analysis.summaries)
+        assert emitted == len(analysis.phases)
         assert registry.counter("analysis.window.conflicts").value == len(
-            analysis.conflict_windows()
+            analysis.conflict_phases()
         )
-        assert (
-            registry.gauge("analysis.window.peak_tracked").value
-            == analysis.peak_tracked
-        )
+        assert registry.histogram("analysis.window.samples").count == emitted
 
     def test_trailing_fold_counted(self, paper_l1):
         registry = MetricsRegistry(enabled=True)
         samples = sampled(conflict_phase(paper_l1), paper_l1)[:300]
         with use_registry(registry):
-            analysis = stream_verdicts(
-                samples, paper_l1, window=256, min_window=64
-            )
+            analysis = analyze(samples, paper_l1, window=256, min_window=64)
         assert analysis.folded
         assert registry.counter("analysis.window.folds").value == 1
-        assert analysis.summaries[-1].sample_count == 300
+        assert analysis.phases[-1].sample_count == 300
 
     def test_window_spans_never_land_as_roots(self, paper_l1):
         tracer = Tracer(enabled=True)
         samples = sampled(conflict_phase(paper_l1), paper_l1)
         with use_tracer(tracer):
-            stream_verdicts(samples, paper_l1, window=64)
+            analyze(samples, paper_l1, window=64)
         assert tracer.roots == []  # would flood the root cap otherwise
 
     def test_window_spans_nest_under_enclosing_span(self, paper_l1):
@@ -293,96 +275,27 @@ class TestObservability:
         samples = sampled(conflict_phase(paper_l1), paper_l1)
         with use_tracer(tracer):
             with tracer.span("stage"):
-                analysis = stream_verdicts(samples, paper_l1, window=64)
+                analysis = analyze(samples, paper_l1, window=64)
         (root,) = tracer.roots
         window_spans = [
             child for child in root.children if child.name == "analysis.window"
         ]
-        assert len(window_spans) == len(analysis.summaries)
-
-    def test_on_window_callback_sees_every_window_in_order(self, paper_l1):
-        seen = []
-        samples = sampled(conflict_phase(paper_l1), paper_l1)
-        analyzer = StreamingPhaseAnalyzer(
-            paper_l1, window=64, on_window=seen.append
-        )
-        analyzer.feed(samples)
-        analysis = analyzer.finish()
-        assert seen == analysis.summaries
+        assert len(window_spans) == len(analysis.phases)
 
 
 class TestValidation:
     def test_rejects_bad_window(self, paper_l1):
         with pytest.raises(AnalysisError, match="window"):
-            StreamingPhaseAnalyzer(paper_l1, window=0)
+            PhaseAnalyzer(paper_l1, window=0)
 
     def test_rejects_bad_min_window(self, paper_l1):
         with pytest.raises(AnalysisError, match="min_window"):
-            StreamingPhaseAnalyzer(paper_l1, window=16, min_window=17)
+            PhaseAnalyzer(paper_l1, window=16, min_window=17)
 
     def test_rejects_bad_threshold(self, paper_l1):
         with pytest.raises(AnalysisError, match="threshold"):
-            StreamingPhaseAnalyzer(paper_l1, rcd_threshold=0)
+            PhaseAnalyzer(paper_l1, rcd_threshold=0)
 
-    def test_feed_after_finish_rejected(self, paper_l1):
-        analyzer = StreamingPhaseAnalyzer(paper_l1)
-        analyzer.finish()
-        with pytest.raises(AnalysisError, match="finished"):
-            analyzer.feed_sets([0])
-
-    def test_finish_is_idempotent(self, paper_l1):
-        analyzer = StreamingPhaseAnalyzer(paper_l1)
-        analyzer.feed_sets([0, 1, 2])
-        assert analyzer.finish() is analyzer.finish()
-
-    def test_iter_address_chunks_rejects_bad_chunk(self):
-        with pytest.raises(AnalysisError, match="chunk_size"):
-            list(iter_address_chunks(np.array([1], dtype=np.uint64), 0))
-
-    def test_iter_address_chunks_buffers_records(self, paper_l1):
-        samples = sampled(conflict_phase(paper_l1), paper_l1)
-        chunks = list(iter_address_chunks(iter(samples), chunk_size=100))
-        assert sum(chunk.size for chunk in chunks) == len(samples)
-        assert all(chunk.size <= 100 for chunk in chunks[:-1])
-
-
-class TestEngineHook:
-    """windowed_phases on every registered backend matches the oracle."""
-
-    def test_backend_matches_batch(self, engine_backend, paper_l1):
-        samples = sampled(mixed_trace(paper_l1), paper_l1)
-        column = np.array([s.address for s in samples], dtype=np.uint64)
-        batch = PhaseAnalyzer(paper_l1, window=64).analyze(samples)
-        analysis = engine_backend.windowed_phases(
-            column, paper_l1, window=64
-        )
-        assert analysis.to_phased() == batch
-
-    def test_backend_accepts_record_stream(self, engine_backend, paper_l1):
-        samples = sampled(conflict_phase(paper_l1), paper_l1)
-        batch = PhaseAnalyzer(paper_l1, window=64).analyze(samples)
-        analysis = engine_backend.windowed_phases(samples, paper_l1, window=64)
-        assert analysis.to_phased() == batch
-
-    def test_scalar_and_batched_are_native(self, paper_l1):
-        for name in ("scalar", "batched"):
-            backend = get_backend(name)
-            assert "windowed" in backend.capabilities
-            samples = sampled(conflict_phase(paper_l1), paper_l1)
-            analysis = backend.windowed_phases(samples, paper_l1, window=64)
-            assert analysis.engine == name
-            assert analysis.fallback_from is None
-
-    def test_sharded_falls_back_and_records_it(self, paper_l1):
-        backend = get_backend("sharded")
-        assert "windowed" not in backend.capabilities
-        registry = MetricsRegistry(enabled=True)
-        samples = sampled(conflict_phase(paper_l1), paper_l1)
-        with use_registry(registry):
-            analysis = backend.windowed_phases(samples, paper_l1, window=64)
-        assert analysis.engine == "batched"
-        assert analysis.fallback_from == "sharded"
-        assert registry.counter("engine.sharded.windowed_fallback").value == 1
-        assert analysis.timeline_record()["fallback_from"] == "sharded"
-        batch = PhaseAnalyzer(paper_l1, window=64).analyze(samples)
-        assert analysis.to_phased() == batch
+    def test_default_min_window_clamps_to_small_windows(self, paper_l1):
+        assert PhaseAnalyzer(paper_l1, window=16).min_window == 16
+        assert PhaseAnalyzer(paper_l1, window=256).min_window == 32

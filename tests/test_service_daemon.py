@@ -55,6 +55,16 @@ def make_config(tmp_path, **overrides):
     return ServiceConfig(**defaults)
 
 
+async def wait_until(condition, what, timeout=10.0):
+    """Poll ``condition()`` until it holds; fail after ``timeout`` s."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not condition():
+        if loop.time() > deadline:
+            raise AssertionError(f"timed out after {timeout}s waiting for {what}")
+        await asyncio.sleep(0.005)
+
+
 async def submit_raw(socket_path, request):
     """One connection, one request line, one response line."""
     reader, writer = await asyncio.open_unix_connection(socket_path)
@@ -479,13 +489,17 @@ class TestShutdown:
                 blocker = asyncio.create_task(
                     submit_raw(config.socket_path, make_blocker())
                 )
-                await asyncio.sleep(0.05)
+                await wait_until(
+                    lambda: service.admission.running == 1, "the blocker to run"
+                )
                 victim = asyncio.create_task(
                     submit_raw(
                         config.socket_path, make_blocker(job_id="victim")
                     )
                 )
-                await asyncio.sleep(0.05)
+                await wait_until(
+                    lambda: service.admission.queued == 1, "the victim to queue"
+                )
                 await service.stop()
                 responses = await asyncio.gather(
                     blocker, victim, return_exceptions=True

@@ -18,7 +18,6 @@ from repro.trace.stream import (
     batched,
     concat_batch_streams,
     filter_batches_by_ip,
-    take_batches,
     unbatched,
 )
 from repro.trace.tracefile import (
@@ -141,15 +140,6 @@ class TestStreamAdapters:
         trace = [make_load(0x100, ip=0xAA)] * 5
         out = list(filter_batches_by_ip(batched(iter(trace), 2), [0xBB]))
         assert out == []
-
-    def test_take_batches_splits_final_batch(self):
-        trace = mixed_trace(20)
-        got = list(unbatched(take_batches(batched(iter(trace), 8), 13)))
-        assert got == trace[:13]
-
-    def test_take_batches_rejects_negative(self):
-        with pytest.raises(ValueError):
-            list(take_batches(iter([]), -1))
 
     def test_concat_batch_streams(self):
         trace = mixed_trace(18)

@@ -9,9 +9,7 @@ from repro.trace.stream import (
     filter_by_range,
     filter_loads,
     interleave_round_robin,
-    map_accesses,
     materialize,
-    relocate,
     take,
     windowed,
 )
@@ -56,22 +54,6 @@ class TestFilters:
     def test_filter_loads_drops_stores(self):
         stream = [make_load(1), make_store(2), make_load(3)]
         assert addresses(filter_loads(stream)) == [1, 3]
-
-
-class TestTransforms:
-    def test_relocate_shifts_addresses(self):
-        stream = [make_load(100), make_load(200)]
-        assert addresses(relocate(stream, 0x1000)) == [100 + 0x1000, 200 + 0x1000]
-
-    def test_relocate_preserves_other_fields(self):
-        original = make_store(100, ip=42, size=4)
-        (moved,) = list(relocate([original], 8))
-        assert moved.ip == 42 and moved.size == 4 and moved.is_store
-
-    def test_map_accesses(self):
-        stream = [make_load(1)]
-        doubled = map_accesses(stream, lambda a: a._replace(address=a.address * 2))
-        assert addresses(doubled) == [2]
 
 
 class TestInterleave:
