@@ -18,6 +18,7 @@ from repro.core.rcd import RcdAnalysis
 from repro.pmu.periods import UniformJitterPeriod
 from repro.pmu.sampler import AddressSampler
 from repro.reporting.tables import Table
+from repro.trace.batch import as_access_stream
 from repro.workloads.adi import AdiWorkload
 from repro.workloads.rodinia import make_rodinia_workload
 
@@ -29,7 +30,7 @@ PERIODS = [5, 17, 61, 211, 797]
 def _exact_cf(factory, geometry):
     cache = SetAssociativeCache(geometry)
     sets = []
-    for access in factory().trace():
+    for access in as_access_stream(factory().trace()):
         if cache.access(access.address, access.ip).miss:
             sets.append(geometry.set_index(access.address))
     return contribution_factor(RcdAnalysis.from_set_sequence(sets, geometry.num_sets))

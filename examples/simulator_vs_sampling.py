@@ -23,6 +23,7 @@ from repro.cache.dinero import format_dinero_report, simulate_dinero_trace
 from repro.core.contribution import contribution_factor
 from repro.core.rcd import RcdAnalysis
 from repro.trace import write_dinero_trace
+from repro.trace.batch import as_access_stream
 from repro.workloads import TinyDnnFcWorkload
 
 GEOMETRY = CacheGeometry()
@@ -43,7 +44,7 @@ def main() -> None:
     # Exact RCD + three-C ground truth from the same trace.
     classifier = ThreeCClassifier(GEOMETRY)
     sets = []
-    for access in workload.trace():
+    for access in as_access_stream(workload.trace()):
         outcome = classifier.classify_record(access)
         if outcome.value != "hit":
             sets.append(GEOMETRY.set_index(access.address))

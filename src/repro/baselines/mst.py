@@ -17,11 +17,11 @@ quantifies that against the full three-C ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.trace.record import MemoryAccess
+from repro.trace.batch import TraceLike, as_access_stream
 
 
 @dataclass
@@ -79,9 +79,9 @@ class MissClassificationTable:
                 table.pop(0)
         return is_conflict
 
-    def run_trace(self, stream: Iterable[MemoryAccess]) -> MstCounts:
+    def run_trace(self, stream: TraceLike) -> MstCounts:
         """Classify a full trace; returns the tallies."""
-        for access in stream:
+        for access in as_access_stream(stream):
             geometry = self.geometry
             spanned = geometry.lines_spanned(access.address, access.size)
             if spanned == 1:

@@ -22,10 +22,11 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Set
+from typing import Dict, Set
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.trace.batch import TraceLike, as_access_stream
 from repro.trace.record import MemoryAccess
 
 
@@ -145,8 +146,8 @@ class ThreeCClassifier:
                 self.classify(base + index * self.geometry.line_size, access.ip)
         return outcome
 
-    def run_trace(self, stream: Iterable[MemoryAccess]) -> ClassificationCounts:
+    def run_trace(self, stream: TraceLike) -> ClassificationCounts:
         """Classify a whole trace; return the tallies."""
-        for access in stream:
+        for access in as_access_stream(stream):
             self.classify_record(access)
         return self.counts

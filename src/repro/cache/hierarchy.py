@@ -11,7 +11,7 @@ reach, which is the granularity the paper's PMU counters observe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.cache.geometry import (
     BROADWELL_LLC,
@@ -22,6 +22,7 @@ from repro.cache.geometry import (
 )
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
+from repro.trace.batch import TraceLike, as_access_stream
 from repro.trace.record import MemoryAccess
 
 
@@ -118,9 +119,9 @@ class CacheHierarchy:
             for index in range(spanned)
         )
 
-    def run_trace(self, stream: Iterable[MemoryAccess]) -> HierarchyResult:
+    def run_trace(self, stream: TraceLike) -> HierarchyResult:
         """Drive a trace through every level and summarize."""
-        for access in stream:
+        for access in as_access_stream(stream):
             self.access_record(access)
         return self.result()
 

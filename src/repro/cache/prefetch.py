@@ -22,12 +22,12 @@ to prefetching while raw miss counts are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.errors import GeometryError
-from repro.trace.record import MemoryAccess
+from repro.trace.batch import TraceLike, as_access_stream
 
 
 @dataclass
@@ -96,9 +96,9 @@ class _PrefetchingCacheBase:
                 ) | result.set_index
                 self._prefetched_lines.discard(evicted_line)
 
-    def run_trace(self, stream: Iterable[MemoryAccess]) -> PrefetchStats:
+    def run_trace(self, stream: TraceLike) -> PrefetchStats:
         """Drive a trace through the prefetching cache."""
-        for access in stream:
+        for access in as_access_stream(stream):
             self.access(access.address, access.ip)
         return self.stats
 

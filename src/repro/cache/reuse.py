@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.cache.geometry import CacheGeometry
 from repro.errors import AnalysisError
-from repro.trace.record import MemoryAccess
+from repro.trace.batch import TraceLike, as_access_stream
 
 #: Reuse distance reported for first touches (cold references).
 INFINITE = -1
@@ -111,7 +111,7 @@ class ReuseProfile:
 
 
 def reuse_distances(
-    stream: Iterable[MemoryAccess],
+    stream: TraceLike,
     geometry: Optional[CacheGeometry] = None,
     *,
     max_references: int = 1 << 22,
@@ -128,7 +128,9 @@ def reuse_distances(
         The :class:`ReuseProfile`.
     """
     geometry = geometry or CacheGeometry()
-    lines = [geometry.line_number(access.address) for access in stream]
+    lines = [
+        geometry.line_number(access.address) for access in as_access_stream(stream)
+    ]
     if len(lines) > max_references:
         raise AnalysisError(
             f"trace of {len(lines)} references exceeds max_references="

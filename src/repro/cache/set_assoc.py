@@ -18,7 +18,9 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import ReplacementPolicy, make_policy
 from repro.cache.stats import CacheStats
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.trace.batch import DEFAULT_BATCH_SIZE, TraceBatch, as_batches
+from repro.trace.batch import (
+    DEFAULT_BATCH_SIZE, TraceBatch, TraceLike, as_access_stream, as_batches,
+)
 from repro.trace.record import MemoryAccess
 
 
@@ -254,9 +256,9 @@ class SetAssociativeCache:
             for index in range(spanned)
         ]
 
-    def run_trace(self, stream: Iterable[MemoryAccess]) -> CacheStats:
+    def run_trace(self, stream: TraceLike) -> CacheStats:
         """Drive a full trace through the cache; return the stats object."""
-        for access in stream:
+        for access in as_access_stream(stream):
             self.access_record(access)
         self.flush_metrics()
         return self.stats

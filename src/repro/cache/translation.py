@@ -23,6 +23,7 @@ from typing import Dict, Optional, Sequence
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.errors import GeometryError
+from repro.trace.batch import TraceLike, as_access_stream
 from repro.trace.record import MemoryAccess
 
 #: Standard x86-64 page size.
@@ -182,9 +183,9 @@ class PhysicallyIndexedHierarchy:
             for index in range(spanned)
         )
 
-    def run_trace(self, stream) -> Dict[str, int]:
+    def run_trace(self, stream: TraceLike) -> Dict[str, int]:
         """Drive a trace; return per-level miss counts by level name."""
-        for access in stream:
+        for access in as_access_stream(stream):
             self.access_record(access)
         return {
             name: cache.stats.misses

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.errors import GeometryError
-from repro.trace.record import MemoryAccess
+from repro.trace.batch import TraceLike, as_access_stream
 
 
 @dataclass
@@ -92,9 +91,9 @@ class VictimCachedL1:
         self.stats.misses += 1
         return "miss"
 
-    def run_trace(self, stream: Iterable[MemoryAccess]) -> VictimCacheStats:
+    def run_trace(self, stream: TraceLike) -> VictimCacheStats:
         """Drive a trace; return the tallies."""
-        for access in stream:
+        for access in as_access_stream(stream):
             spanned = self.geometry.lines_spanned(access.address, access.size)
             if spanned == 1:
                 self.access(access.address, access.ip)

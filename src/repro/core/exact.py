@@ -22,8 +22,9 @@ from repro.core.contribution import DEFAULT_RCD_THRESHOLD, contribution_factor
 from repro.core.rcd import RcdAnalysis, RcdArrayAnalysis
 from repro.errors import AnalysisError
 from repro.program.symbols import Symbolizer
-from repro.trace.batch import DEFAULT_BATCH_SIZE, TraceBatch, as_batches
-from repro.trace.record import MemoryAccess
+from repro.trace.batch import (
+    DEFAULT_BATCH_SIZE, TraceBatch, TraceLike, as_access_stream, as_batches,
+)
 
 #: Context key for misses outside any known loop.
 GLOBAL_CONTEXT = "<all>"
@@ -118,7 +119,7 @@ class ExactRcdMeasurer:
         self.symbolizer = symbolizer
         self.policy = policy
 
-    def run(self, stream: Iterable[MemoryAccess]) -> ExactMeasurement:
+    def run(self, stream: TraceLike) -> ExactMeasurement:
         """Simulate a trace; return the complete per-context measurement."""
         cache = SetAssociativeCache(self.geometry, policy=self.policy)
         measurement = ExactMeasurement(geometry=self.geometry)
@@ -127,7 +128,7 @@ class ExactRcdMeasurer:
         symbolizer = self.symbolizer
         set_index_of = self.geometry.set_index
         accesses = 0
-        for access in stream:
+        for access in as_access_stream(stream):
             accesses += 1
             if cache.access(access.address, access.ip).hit:
                 continue

@@ -27,6 +27,7 @@ from repro.errors import SamplingError
 from repro.pmu.event import L1_MISS_EVENT, PmuEvent
 from repro.pmu.periods import PeriodDistribution, UniformJitterPeriod
 from repro.pmu.sampler import AddressSample, SamplingResult
+from repro.trace.batch import as_access_stream
 from repro.trace.record import MemoryAccess
 from repro.trace.stream import TraceStream, interleave_round_robin
 
@@ -177,7 +178,7 @@ class MultiThreadMonitor:
         def tag(thread_id: int) -> Iterable[MemoryAccess]:
             return (
                 access._replace(thread_id=thread_id)
-                for access in threads[thread_id]
+                for access in as_access_stream(threads[thread_id])
             )
 
         if len(group) == 1:

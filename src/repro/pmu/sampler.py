@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,12 +22,7 @@ from repro.obs.metrics import get_registry
 from repro.pmu.event import L1_MISS_EVENT, PmuEvent
 from repro.pmu.periods import PeriodDistribution, UniformJitterPeriod
 from repro.robustness.budget import SamplingBudget
-from repro.trace.batch import DEFAULT_BATCH_SIZE, TraceBatch, as_batches
-from repro.trace.record import MemoryAccess
-
-#: Anything the batched engines accept as a trace: a single batch, an
-#: iterable of batches, or a scalar access stream.
-TraceLike = Union[TraceBatch, Iterable]
+from repro.trace.batch import DEFAULT_BATCH_SIZE, TraceLike, as_access_stream, as_batches
 
 
 class AddressSample(NamedTuple):
@@ -157,7 +152,7 @@ class AddressSampler:
 
     def run(
         self,
-        stream: Iterable[MemoryAccess],
+        stream: TraceLike,
         budget: Optional[SamplingBudget] = None,
     ) -> SamplingResult:
         """Profile a trace; returns the sparse sample record.
@@ -182,7 +177,7 @@ class AddressSampler:
         cache_access = cache.access
         access_index = 0
         event_index = 0
-        for access in stream:
+        for access in as_access_stream(stream):
             outcome = cache_access(access.address, access.ip)
             if event_matches(access, outcome):
                 event_index += 1
@@ -334,7 +329,7 @@ class AddressSampler:
         result.total_accesses = access_index
         return self._finish_run(result, cache)
 
-    def run_with_trace_of_events(self, stream: Iterable[MemoryAccess]) -> tuple:
+    def run_with_trace_of_events(self, stream: TraceLike) -> tuple:
         """Profile while also recording the *full* event stream.
 
         Returns:
@@ -352,7 +347,7 @@ class AddressSampler:
         countdown = self.period.next_period(rng)
         access_index = 0
         event_index = 0
-        for access in stream:
+        for access in as_access_stream(stream):
             outcome = cache.access(access.address, access.ip)
             if self.event.matches(access, outcome):
                 record = AddressSample(

@@ -12,9 +12,14 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+import numpy as np
+
 from repro.analysis.descriptors import AffineAccess, affine2d
-from repro.trace.record import MemoryAccess
-from repro.workloads.base import Array2D, TraceWorkload
+from repro.trace.batch import TraceBatch, rebatch
+from repro.trace.record import AccessKind
+from repro.workloads.base import (
+    Array2D, LoopBody, TraceWorkload, in_sequence, outer_blocks, sites,
+)
 
 #: PolyBench LARGE uses N=1024; scaled to keep one step ~1M accesses while
 #: preserving pitch ≡ 0 (mod 4096): 256 doubles/row = 2048 B, so the column
@@ -77,38 +82,48 @@ class AdiWorkload(TraceWorkload):
         """The paper's 32-byte row pad."""
         return cls(n=n, pad_bytes=DEFAULT_PAD, steps=steps)
 
-    def trace(self) -> Iterator[MemoryAccess]:
+    def trace(self) -> Iterator[TraceBatch]:
+        return rebatch(self._chunks())
+
+    def _chunks(self) -> Iterator[TraceBatch]:
+        """Runs of i rows of each sweep."""
         n = self.n
         u, v, p, q = self.u, self.v, self.p, self.q
+        load, store = AccessKind.LOAD, AccessKind.STORE
+        m = n - 2  # interior extent
+
+        def sweep(ip: int, ip_back: int) -> LoopBody:
+            """One i iteration: the forward j loop, then the back j loop."""
+            return LoopBody(
+                ([(ip, load)] * 3 + [(ip, store)] * 2) * m
+                + ([(ip_back, load)] * 3 + [(ip_back, store)]) * m,
+                size=8,
+            )
+
+        column_sweep = sweep(self.ip_col, self.ip_col_back)
+        row_sweep = sweep(self.ip_row, self.ip_row_back)
+        j = np.arange(1, n - 1)
+        jb = j[::-1]  # back substitution runs j downward
+        rows = list(outer_blocks(np.arange(1, n - 1), len(column_sweep)))
         for _step in range(self.steps):
             # Column sweep: forward substitution down each column of v/u,
-            # with row-major helpers p and q.
-            for i in range(1, n - 1):
-                for j in range(1, n - 1):
-                    yield self.load(self.ip_col, u.addr(j, i))        # column walk
-                    yield self.load(self.ip_col, u.addr(j, i - 1))
-                    yield self.load(self.ip_col, u.addr(j, i + 1))
-                    yield self.store(self.ip_col, p.addr(i, j))
-                    yield self.store(self.ip_col, q.addr(i, j))
-                # Back substitution up the column of v.
-                for j in range(n - 2, 0, -1):
-                    yield self.load(self.ip_col_back, p.addr(i, j))
-                    yield self.load(self.ip_col_back, q.addr(i, j))
-                    yield self.load(self.ip_col_back, v.addr(j + 1, i))  # column walk
-                    yield self.store(self.ip_col_back, v.addr(j, i))
+            # with row-major helpers p and q, then back substitution up the
+            # column of v.  Both walk a column: u[j][i], v[j][i].
+            for block in rows:
+                i = block[:, None]
+                yield column_sweep.batch(in_sequence(
+                    sites(u.addr(j, i), u.addr(j, i - 1), u.addr(j, i + 1),
+                          p.addr(i, j), q.addr(i, j)),
+                    sites(p.addr(i, jb), q.addr(i, jb), v.addr(jb + 1, i), v.addr(jb, i)),
+                ))
             # Row sweep: same dance along rows (cache friendly direction).
-            for i in range(1, n - 1):
-                for j in range(1, n - 1):
-                    yield self.load(self.ip_row, v.addr(i, j))
-                    yield self.load(self.ip_row, v.addr(i - 1, j))
-                    yield self.load(self.ip_row, v.addr(i + 1, j))
-                    yield self.store(self.ip_row, p.addr(i, j))
-                    yield self.store(self.ip_row, q.addr(i, j))
-                for j in range(n - 2, 0, -1):
-                    yield self.load(self.ip_row_back, p.addr(i, j))
-                    yield self.load(self.ip_row_back, q.addr(i, j))
-                    yield self.load(self.ip_row_back, u.addr(i, j + 1))
-                    yield self.store(self.ip_row_back, u.addr(i, j))
+            for block in rows:
+                i = block[:, None]
+                yield row_sweep.batch(in_sequence(
+                    sites(v.addr(i, j), v.addr(i - 1, j), v.addr(i + 1, j),
+                          p.addr(i, j), q.addr(i, j)),
+                    sites(p.addr(i, jb), q.addr(i, jb), u.addr(i, jb + 1), u.addr(i, jb)),
+                ))
 
     def access_patterns(self) -> List[AffineAccess]:
         """Static descriptors for all four inner loops.

@@ -2,20 +2,27 @@
 
 A :class:`TraceWorkload` owns three things the profiler consumes:
 
-- ``trace()`` — the memory-access stream of the kernel;
+- ``trace()`` — the memory-access stream of the kernel, as scalar
+  :class:`~repro.trace.record.MemoryAccess` records or as columnar
+  :class:`~repro.trace.batch.TraceBatch` runs (the seven case studies
+  build their batches by broadcasting over the loop nest);
 - ``image`` — a program image whose CFG encodes the kernel's loop nest;
 - ``allocator`` — the virtual heap holding the kernel's arrays.
 
 The array helpers encode layout exactly the way C does — row pitch in
 bytes, optionally padded — because pitch modulo the cache mapping period is
-the whole story of conflict misses.
+the whole story of conflict misses.  Their address forms take a scalar
+index or NumPy index arrays (which broadcast), so one expression serves a
+single access and a whole loop's worth of them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
@@ -25,10 +32,16 @@ from repro.errors import AllocationError
 from repro.program.builder import ImageBuilder
 from repro.program.image import ProgramImage
 from repro.trace.allocator import Allocation, VirtualAllocator
+from repro.trace.batch import DEFAULT_BATCH_SIZE, TRACE_DTYPE, TraceBatch
 from repro.trace.record import AccessKind, MemoryAccess
 
 if TYPE_CHECKING:
+    import numpy.typing as npt
+
     from repro.analysis.descriptors import AffineAccess
+
+#: An array index or address: a Python int, or an int64 NumPy array of them.
+Index = Union[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -47,9 +60,15 @@ class Array1D:
         allocation = allocator.malloc(length * elem_size, label)
         return cls(allocation=allocation, elem_size=elem_size, length=length)
 
-    def addr(self, index: int) -> int:
-        """Address of element ``index``."""
-        if not 0 <= index < self.length:
+    def addr(self, index: Index) -> Index:
+        """Address of element ``index`` (bounds-checked, scalar or array)."""
+        if isinstance(index, np.ndarray):
+            if index.size and (index.min() < 0 or index.max() >= self.length):
+                bad = index[(index < 0) | (index >= self.length)][0]
+                raise AllocationError(
+                    f"{self.allocation.label}[{bad}] out of bounds (len {self.length})"
+                )
+        elif not 0 <= index < self.length:
             raise AllocationError(
                 f"{self.allocation.label}[{index}] out of bounds (len {self.length})"
             )
@@ -95,7 +114,7 @@ class Array2D:
             pitch=pitch,
         )
 
-    def addr(self, row: int, col: int) -> int:
+    def addr(self, row: Index, col: Index) -> Index:
         """Address of element (row, col)."""
         return self.allocation.start + row * self.pitch + col * self.elem_size
 
@@ -148,7 +167,7 @@ class Array3D:
             extent2=extent2,
         )
 
-    def addr(self, i: int, j: int, k: int) -> int:
+    def addr(self, i: Index, j: Index, k: Index) -> Index:
         """Address of element (i, j, k)."""
         linear = (i * self.extent1 + j) * self.extent2 + k
         return self.allocation.start + linear * self.elem_size
@@ -157,6 +176,78 @@ class Array3D:
     def plane_bytes(self) -> int:
         """Bytes per dim0 slice — the stride that aliases planes."""
         return self.extent1 * self.extent2 * self.elem_size
+
+
+class LoopBody:
+    """The access sites of one loop-body iteration, in program order.
+
+    The columnar generators' building block.  A generator computes every
+    site's addresses for a run of iterations at once, as an
+    ``(iterations, sites)`` array (see :func:`sites`), and :meth:`batch`
+    lays them out iteration-major — site ``s`` of iteration ``k`` becomes
+    record ``k * sites + s``, the order the scalar loop emits them in —
+    with each site's ip and kind repeated per iteration.  An irregular body
+    (an NW tile, an FFT line) is one long template of sites whose
+    addresses are broadcast over the outer loop.
+    """
+
+    __slots__ = ("ip", "kind", "size")
+
+    def __init__(self, sites: Sequence[Tuple[int, AccessKind]], size: int) -> None:
+        self.ip = np.array([ip for ip, _ in sites], dtype=np.uint64)
+        self.kind = np.array([int(kind) for _, kind in sites], dtype=np.uint8)
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.ip.size
+
+    def batch(self, address: np.ndarray) -> TraceBatch:
+        """The body once per iteration; ``address`` is ``(..., sites)``."""
+        address = address.reshape(-1, len(self))
+        records = np.empty(address.size, dtype=TRACE_DTYPE)
+        rows = records.reshape(address.shape)  # a view: one row per iteration
+        rows["address"] = address
+        rows["ip"] = self.ip
+        rows["kind"] = self.kind
+        rows["size"] = self.size
+        rows["thread_id"] = 0
+        return TraceBatch(records)
+
+
+def sites(*addresses: Index) -> np.ndarray:
+    """Address columns of consecutive access sites, broadcast together and
+    stacked on a new last axis: the ``(..., sites)`` shape
+    :meth:`LoopBody.batch` takes."""
+    return np.stack(np.broadcast_arrays(*addresses), axis=-1)
+
+
+def in_sequence(*parts: npt.ArrayLike, ndim: int = 1) -> np.ndarray:
+    """Join loops that run one after another inside each outer iteration.
+
+    The first ``ndim`` axes of every part index the outer iterations (they
+    broadcast); the rest of each part is flattened per iteration and the
+    parts are concatenated in order on the last axis.
+    """
+    arrays = [np.asarray(part) for part in parts]
+    lead = np.broadcast_shapes(*(array.shape[:ndim] for array in arrays))
+    return np.concatenate(
+        [
+            np.broadcast_to(array, lead + array.shape[ndim:]).reshape(lead + (-1,))
+            for array in arrays
+        ],
+        axis=-1,
+    )
+
+
+def outer_blocks(values: np.ndarray, body_records: int) -> Iterator[np.ndarray]:
+    """Split an outer loop's index values into runs of iterations that
+    each generate about a quarter of a batch of records (at least one
+    iteration per run).  A generator then holds that chunk's columns
+    besides the batch :func:`~repro.trace.batch.rebatch` is filling,
+    never the whole trace."""
+    step = max(1, DEFAULT_BATCH_SIZE // 4 // max(1, body_records))
+    for start in range(0, values.size, step):
+        yield values[start:start + step]
 
 
 class TraceWorkload(ABC):
@@ -183,8 +274,14 @@ class TraceWorkload(ABC):
         return self._image
 
     @abstractmethod
-    def trace(self) -> Iterator[MemoryAccess]:
-        """Yield the kernel's memory-access stream."""
+    def trace(self) -> Union[Iterator[MemoryAccess], Iterator[TraceBatch]]:
+        """Yield the kernel's memory-access stream.
+
+        Either shape is a trace: scalar :class:`MemoryAccess` records, or
+        columnar :class:`TraceBatch` runs (:func:`~repro.trace.batch.as_batches`
+        and :func:`~repro.trace.batch.as_access_stream` accept both).
+        Every call starts a fresh replay of the same stream.
+        """
 
     def access_patterns(self) -> "List[AffineAccess]":
         """Declared affine access descriptors for static analysis.
@@ -221,4 +318,6 @@ class TraceWorkload(ABC):
 
     def access_count(self) -> int:
         """Length of the trace (consumes one full generation)."""
-        return sum(1 for _ in self.trace())
+        return sum(
+            len(item) if isinstance(item, TraceBatch) else 1 for item in self.trace()
+        )

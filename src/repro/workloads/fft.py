@@ -17,10 +17,13 @@ The paper's fix pads each row by 8 (complex) elements.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List, Tuple
 
-from repro.trace.record import MemoryAccess
-from repro.workloads.base import Array2D, TraceWorkload
+import numpy as np
+
+from repro.trace.batch import TraceBatch, rebatch
+from repro.trace.record import AccessKind
+from repro.workloads.base import Array2D, LoopBody, TraceWorkload, outer_blocks, sites
 
 #: Bytes per complex-double element.
 COMPLEX_SIZE = 16
@@ -34,11 +37,11 @@ DEFAULT_N = 128
 DEFAULT_PAD_ELEMENTS = 8
 
 
-def _bit_reverse(value: int, bits: int) -> int:
-    result = 0
+def _bit_reverse(value: np.ndarray, bits: int) -> np.ndarray:
+    result = np.zeros_like(value)
     for _ in range(bits):
         result = (result << 1) | (value & 1)
-        value >>= 1
+        value = value >> 1
     return result
 
 
@@ -92,46 +95,51 @@ class Fft2dWorkload(TraceWorkload):
         """The paper's 8-element row pad."""
         return cls(n=n, pad_elements=DEFAULT_PAD_ELEMENTS)
 
-    def _fft_1d_accesses(self, ip: int, element_addr) -> Iterator[MemoryAccess]:
-        """Radix-2 decimation-in-time butterfly access pattern.
+    def _line(self) -> Tuple[List[AccessKind], np.ndarray, np.ndarray]:
+        """One radix-2 decimation-in-time 1D transform, site by site.
 
-        Args:
-            ip: Instruction pointer of the pass.
-            element_addr: index -> address mapping for the 1D slice.
+        Returns each site's kind and ``index``, its element index within
+        the line or, for twiddle-table loads (``twiddle`` true), the
+        twiddle offset.
         """
         n = self.n
-        bits = n.bit_length() - 1
+        load, store = AccessKind.LOAD, AccessKind.STORE
         # Bit-reversal permutation (reads + writes of swapped pairs).
-        for index in range(n):
-            swapped = _bit_reverse(index, bits)
-            if swapped > index:
-                yield self.load(ip, element_addr(index), size=COMPLEX_SIZE)
-                yield self.load(ip, element_addr(swapped), size=COMPLEX_SIZE)
-                yield self.store(ip, element_addr(index), size=COMPLEX_SIZE)
-                yield self.store(ip, element_addr(swapped), size=COMPLEX_SIZE)
-        # log2(n) butterfly stages.
+        index = np.arange(n)
+        swapped = _bit_reverse(index, n.bit_length() - 1)
+        pair = swapped > index
+        low, high = index[pair], swapped[pair]
+        kinds = [load, load, store, store] * low.size
+        indices = [sites(low, high, low, high).ravel()]
+        twiddles = [np.zeros(4 * low.size, dtype=bool)]
+        # log2(n) butterfly stages: twiddle, top, bottom loads; top,
+        # bottom stores.
         half = 1
         while half < n:
-            for start in range(0, n, half * 2):
-                for offset in range(half):
-                    top = element_addr(start + offset)
-                    bottom = element_addr(start + offset + half)
-                    yield self.load(ip, self.twiddles.addr(0, offset), size=COMPLEX_SIZE)
-                    yield self.load(ip, top, size=COMPLEX_SIZE)
-                    yield self.load(ip, bottom, size=COMPLEX_SIZE)
-                    yield self.store(ip, top, size=COMPLEX_SIZE)
-                    yield self.store(ip, bottom, size=COMPLEX_SIZE)
+            offset = np.tile(np.arange(half), n // (2 * half))
+            top = np.repeat(np.arange(0, n, 2 * half), half) + offset
+            kinds += [load, load, load, store, store] * top.size
+            indices.append(sites(offset, top, top + half, top, top + half).ravel())
+            twiddles.append(np.tile([True, False, False, False, False], top.size))
             half *= 2
+        return kinds, np.concatenate(indices), np.concatenate(twiddles)
 
-    def trace(self) -> Iterator[MemoryAccess]:
+    def trace(self) -> Iterator[TraceBatch]:
+        return rebatch(self._chunks())
+
+    def _chunks(self) -> Iterator[TraceBatch]:
+        """Runs of rows, then of columns."""
         data = self.data
+        kinds, index, twiddle = self._line()
+        twiddle_addr = self.twiddles.addr(0, index)
+        lines = list(outer_blocks(np.arange(self.n), len(kinds)))
         # Pass 1: FFT every row (unit stride within the row).
-        for row in range(self.n):
-            yield from self._fft_1d_accesses(
-                self.ip_row, lambda index, row=row: data.addr(row, index)
-            )
+        body = LoopBody([(self.ip_row, kind) for kind in kinds], size=COMPLEX_SIZE)
+        for block in lines:
+            row = block[:, None]
+            yield body.batch(np.where(twiddle, twiddle_addr, data.addr(row, index)))
         # Pass 2: FFT every column (full-pitch stride — the conflict pass).
-        for col in range(self.n):
-            yield from self._fft_1d_accesses(
-                self.ip_col, lambda index, col=col: data.addr(index, col)
-            )
+        body = LoopBody([(self.ip_col, kind) for kind in kinds], size=COMPLEX_SIZE)
+        for block in lines:
+            col = block[:, None]
+            yield body.batch(np.where(twiddle, twiddle_addr, data.addr(index, col)))

@@ -15,11 +15,14 @@ inner extent).
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
-from repro.trace.record import MemoryAccess
+import numpy as np
+
 from repro.trace.allocator import Allocation
-from repro.workloads.base import TraceWorkload
+from repro.trace.batch import TraceBatch, rebatch
+from repro.trace.record import AccessKind
+from repro.workloads.base import Index, LoopBody, TraceWorkload, outer_blocks, sites
 
 FLOAT_SIZE = 4
 
@@ -42,7 +45,7 @@ class _Matrix4D:
         self.dims = dims
         self.extents = extents
 
-    def addr(self, n: int, i: int, j: int, k: int) -> int:
+    def addr(self, n: Index, i: Index, j: Index, k: Index) -> Index:
         ei, ej, ek = self.extents
         linear = ((n * ei + i) * ej + j) * ek + k
         return self.allocation.start + linear * FLOAT_SIZE
@@ -108,42 +111,49 @@ class HimenoWorkload(TraceWorkload):
         """The paper's dimension padding (+1 on the two inner extents)."""
         return cls(dims=dims, pad=1, iterations=iterations)
 
-    def trace(self) -> Iterator[MemoryAccess]:
+    def trace(self) -> Iterator[TraceBatch]:
+        return rebatch(self._chunks())
+
+    def _chunks(self) -> Iterator[TraceBatch]:
+        """Runs of i planes."""
         imax, jmax, kmax = self.dims
-        ip = self.ip_body
         a, b, c = self.a, self.b, self.c
         p, bnd, wrk1, wrk2 = self.p, self.bnd, self.wrk1, self.wrk2
+        body = LoopBody(
+            [(self.ip_body, AccessKind.LOAD)] * 25 + [(self.ip_body, AccessKind.STORE)],
+            size=FLOAT_SIZE,
+        )
+        j = np.arange(1, jmax - 1)[:, None]
+        k = np.arange(1, kmax - 1)
+        planes = list(outer_blocks(np.arange(1, imax - 1), len(body) * j.size * k.size))
         for _it in range(self.iterations):
-            for i in range(1, imax - 1):
-                for j in range(1, jmax - 1):
-                    for k in range(1, kmax - 1):
-                        reads: List[int] = [
-                            a.addr(0, i, j, k),
-                            p.addr(0, i + 1, j, k),
-                            a.addr(1, i, j, k),
-                            p.addr(0, i, j + 1, k),
-                            a.addr(2, i, j, k),
-                            p.addr(0, i, j, k + 1),
-                            b.addr(0, i, j, k),
-                            p.addr(0, i + 1, j + 1, k),
-                            p.addr(0, i - 1, j + 1, k),
-                            b.addr(1, i, j, k),
-                            p.addr(0, i, j + 1, k + 1),
-                            p.addr(0, i, j - 1, k + 1),
-                            b.addr(2, i, j, k),
-                            p.addr(0, i + 1, j, k + 1),
-                            p.addr(0, i - 1, j, k + 1),
-                            c.addr(0, i, j, k),
-                            p.addr(0, i - 1, j, k),
-                            c.addr(1, i, j, k),
-                            p.addr(0, i, j - 1, k),
-                            c.addr(2, i, j, k),
-                            p.addr(0, i, j, k - 1),
-                            wrk1.addr(0, i, j, k),
-                            a.addr(3, i, j, k),
-                            p.addr(0, i, j, k),
-                            bnd.addr(0, i, j, k),
-                        ]
-                        for address in reads:
-                            yield self.load(ip, address, size=FLOAT_SIZE)
-                        yield self.store(ip, wrk2.addr(0, i, j, k), size=FLOAT_SIZE)
+            for block in planes:
+                i = block[:, None, None]
+                yield body.batch(sites(
+                    a.addr(0, i, j, k),
+                    p.addr(0, i + 1, j, k),
+                    a.addr(1, i, j, k),
+                    p.addr(0, i, j + 1, k),
+                    a.addr(2, i, j, k),
+                    p.addr(0, i, j, k + 1),
+                    b.addr(0, i, j, k),
+                    p.addr(0, i + 1, j + 1, k),
+                    p.addr(0, i - 1, j + 1, k),
+                    b.addr(1, i, j, k),
+                    p.addr(0, i, j + 1, k + 1),
+                    p.addr(0, i, j - 1, k + 1),
+                    b.addr(2, i, j, k),
+                    p.addr(0, i + 1, j, k + 1),
+                    p.addr(0, i - 1, j, k + 1),
+                    c.addr(0, i, j, k),
+                    p.addr(0, i - 1, j, k),
+                    c.addr(1, i, j, k),
+                    p.addr(0, i, j - 1, k),
+                    c.addr(2, i, j, k),
+                    p.addr(0, i, j, k - 1),
+                    wrk1.addr(0, i, j, k),
+                    a.addr(3, i, j, k),
+                    p.addr(0, i, j, k),
+                    bnd.addr(0, i, j, k),
+                    wrk2.addr(0, i, j, k),  # the one store
+                ))

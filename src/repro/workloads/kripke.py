@@ -16,10 +16,15 @@ accesses unit-stride.  Speedups of 94.6x / 11.1x (loop only) follow.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator
 
-from repro.trace.record import MemoryAccess
-from repro.workloads.base import Array1D, Array3D, TraceWorkload
+import numpy as np
+
+from repro.trace.batch import TraceBatch, rebatch
+from repro.trace.record import AccessKind
+from repro.workloads.base import (
+    Array1D, Array3D, LoopBody, TraceWorkload, in_sequence, outer_blocks, sites,
+)
 
 #: Problem shape: groups x directions x zones.  D * Z * 8 = 32 KiB, a
 #: multiple of the 4 KiB mapping period — the conflict condition.
@@ -76,31 +81,50 @@ class KripkeWorkload(TraceWorkload):
         function.finish()
 
     @classmethod
-    def original(cls, **kwargs) -> "KripkeWorkload":
+    def original(cls, **kwargs: Any) -> "KripkeWorkload":
         """The conflicting column-order nest of Listing 4."""
         return cls(row_order=False, **kwargs)
 
     @classmethod
-    def optimized(cls, **kwargs) -> "KripkeWorkload":
+    def optimized(cls, **kwargs: Any) -> "KripkeWorkload":
         """The paper's row-order transformation."""
         return cls(row_order=True, **kwargs)
 
-    def trace(self) -> Iterator[MemoryAccess]:
+    def trace(self) -> Iterator[TraceBatch]:
+        return rebatch(self._chunks())
+
+    def _chunks(self) -> Iterator[TraceBatch]:
+        """Runs of the outermost loop."""
         psi, volume, weights = self.psi, self.volume, self.direction_weights
+        load_w = (self.ip_w, AccessKind.LOAD)
+        load_vol = (self.ip_vol, AccessKind.LOAD)
+        load_psi = (self.ip_psi, AccessKind.LOAD)
+        groups, zones = np.arange(self.groups), np.arange(self.zones)
+        d = np.arange(self.directions)[:, None]
+        # One outermost iteration (a g, or a z) of the imperfect nest.
+        if self.row_order:
+            body = LoopBody(
+                ([load_w] + [load_vol, load_psi] * self.zones) * self.directions, size=8
+            )
+        else:
+            body = LoopBody(
+                [load_vol] + ([load_w] + [load_psi] * self.groups) * self.directions, size=8
+            )
         for _sweep in range(self.sweeps):
             if self.row_order:
                 # Optimized: z innermost matches psi's layout (unit stride).
-                for g in range(self.groups):
-                    for d in range(self.directions):
-                        yield self.load(self.ip_w, weights.addr(d))
-                        for z in range(self.zones):
-                            yield self.load(self.ip_vol, volume.addr(z))
-                            yield self.load(self.ip_psi, psi.addr(g, d, z))
+                for block in outer_blocks(groups, len(body)):
+                    g = block[:, None, None]
+                    yield body.batch(in_sequence(
+                        weights.addr(d[None]),
+                        sites(volume.addr(zones), psi.addr(g, d, zones)),
+                        ndim=2,
+                    ))
             else:
                 # Original: g innermost jumps D*Z*8 bytes per step.
-                for z in range(self.zones):
-                    yield self.load(self.ip_vol, volume.addr(z))
-                    for d in range(self.directions):
-                        yield self.load(self.ip_w, weights.addr(d))
-                        for g in range(self.groups):
-                            yield self.load(self.ip_psi, psi.addr(g, d, z))
+                for block in outer_blocks(zones, len(body)):
+                    z = block[:, None, None]
+                    yield body.batch(in_sequence(
+                        volume.addr(block[:, None]),
+                        in_sequence(weights.addr(d[None]), psi.addr(groups, d, z), ndim=2),
+                    ))

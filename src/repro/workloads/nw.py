@@ -20,11 +20,16 @@ reproduction's reports read like the paper's.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from repro.analysis.descriptors import AffineAccess, affine2d
-from repro.trace.record import MemoryAccess
-from repro.workloads.base import Array2D, TraceWorkload
+from repro.trace.batch import TraceBatch, rebatch
+from repro.trace.record import AccessKind
+from repro.workloads.base import (
+    Array2D, LoopBody, TraceWorkload, in_sequence, outer_blocks, sites,
+)
 
 #: Rodinia's tile edge.
 TILE = 16
@@ -212,78 +217,88 @@ class NeedlemanWunschWorkload(TraceWorkload):
         )
         return patterns
 
-    def trace(self) -> Iterator[MemoryAccess]:
+    def trace(self) -> Iterator[TraceBatch]:
+        return rebatch(self._chunks())
+
+    def _chunks(self) -> Iterator[TraceBatch]:
+        """The init loops, runs of tiles along each anti-diagonal, the
+        traceback."""
         yield from self._init_loops()
         blocks = self.n // TILE
         # Phase 1: anti-diagonals growing from the top-left corner.
+        phase1 = self._tile_body((128, 138, 147, 159))
         for diagonal in range(blocks):
-            for bx in range(diagonal + 1):
-                by = diagonal - bx
-                yield from self._tile(by, bx, lines=(128, 138, 147, 159))
+            for bx in outer_blocks(np.arange(diagonal + 1), len(phase1)):
+                yield phase1.batch(self._tiles(diagonal - bx, bx))
         # Phase 2: anti-diagonals shrinking toward the bottom-right corner.
+        phase2 = self._tile_body((189, 199, 208, 220))
         for diagonal in range(blocks - 2, -1, -1):
-            for bx in range(diagonal + 1):
-                by = diagonal - bx
-                yield from self._tile(
-                    blocks - 1 - by, blocks - 1 - bx, lines=(189, 199, 208, 220)
+            for bx in outer_blocks(np.arange(diagonal + 1), len(phase2)):
+                yield phase2.batch(
+                    self._tiles(blocks - 1 - (diagonal - bx), blocks - 1 - bx)
                 )
-        yield from self._traceback()
+        yield self._traceback()
 
-    def _init_loops(self) -> Iterator[MemoryAccess]:
+    def _init_loops(self) -> Iterator[TraceBatch]:
         order = self.n + 1
+        inp = self.input_itemsets
         # needle.cpp:273 - first row/column score initialization.
-        ip = self._ips[273]
-        for j in range(order):
-            yield self.store(ip, self.input_itemsets.addr(0, j), size=4)
-        for i in range(order):
-            yield self.store(ip, self.input_itemsets.addr(i, 0), size=4)
+        edge = np.arange(order)
+        yield LoopBody([(self._ips[273], AccessKind.STORE)], size=4).batch(
+            np.concatenate([inp.addr(0, edge), inp.addr(edge, 0)])
+        )
         # needle.cpp:289 - fill the reference (similarity) matrix; a plain
         # row-major stream, so heavy but conflict-free (Table 4: 64 sets).
         ip = self._ips[289]
-        for i in range(1, order):
-            for j in range(1, order):
-                yield self.load(ip, self.input_itemsets.addr(i, 0), size=4)
-                yield self.store(ip, self.reference.addr(i, j), size=4)
+        body = LoopBody([(ip, AccessKind.LOAD), (ip, AccessKind.STORE)], size=4)
+        j = np.arange(1, order)
+        for rows in outer_blocks(np.arange(1, order), len(body) * j.size):
+            i = rows[:, None]
+            yield body.batch(sites(inp.addr(i, 0), self.reference.addr(i, j)))
 
-    def _tile(self, by: int, bx: int, lines) -> Iterator[MemoryAccess]:
-        copy_in, copy_ref, compute, writeback = lines
-        row0, col0 = by * TILE, bx * TILE
-        # Copy input tile (+ boundary) into the local temp (Listing 1).
-        ip = self._ips[copy_in]
-        for ty in range(TILE + 1):
-            for tx in range(TILE + 1):
-                yield self.load(ip, self.input_itemsets.addr(row0 + ty, col0 + tx), size=4)
-                yield self.store(ip, self.temp_local.addr(ty, tx), size=4)
-        # Copy reference tile into the local ref.
-        ip = self._ips[copy_ref]
-        for ty in range(TILE):
-            for tx in range(TILE):
-                yield self.load(ip, self.reference.addr(row0 + 1 + ty, col0 + 1 + tx), size=4)
-                yield self.store(ip, self.ref_local.addr(ty, tx), size=4)
-        # Compute on the locals (cache-resident: few misses, Table 4's
-        # tiny-contribution compute loops).
-        ip = self._ips[compute]
-        for ty in range(1, TILE + 1):
-            for tx in range(1, TILE + 1):
-                yield self.load(ip, self.temp_local.addr(ty - 1, tx - 1), size=4)
-                yield self.load(ip, self.temp_local.addr(ty - 1, tx), size=4)
-                yield self.load(ip, self.temp_local.addr(ty, tx - 1), size=4)
-                yield self.load(ip, self.ref_local.addr(ty - 1, tx - 1), size=4)
-                yield self.store(ip, self.temp_local.addr(ty, tx), size=4)
-        # Write the tile back.
-        ip = self._ips[writeback]
-        for ty in range(TILE):
-            for tx in range(TILE):
-                yield self.load(ip, self.temp_local.addr(ty + 1, tx + 1), size=4)
-                yield self.store(ip, self.input_itemsets.addr(row0 + 1 + ty, col0 + 1 + tx), size=4)
+    def _tile_body(self, lines: Tuple[int, int, int, int]) -> LoopBody:
+        """One tile's copy / copy / compute / writeback sites, in order."""
+        copy_in, copy_ref, compute, writeback = (self._ips[line] for line in lines)
+        load, store = AccessKind.LOAD, AccessKind.STORE
+        return LoopBody(
+            [(copy_in, load), (copy_in, store)] * (TILE + 1) ** 2
+            + [(copy_ref, load), (copy_ref, store)] * TILE ** 2
+            + ([(compute, load)] * 4 + [(compute, store)]) * TILE ** 2
+            + [(writeback, load), (writeback, store)] * TILE ** 2,
+            size=4,
+        )
 
-    def _traceback(self) -> Iterator[MemoryAccess]:
+    def _tiles(self, by: np.ndarray, bx: np.ndarray) -> np.ndarray:
+        """Addresses of the tiles ``(by[k], bx[k])``: ``(tiles, sites)``
+        in :meth:`_tile_body` order."""
+        inp, ref = self.input_itemsets, self.reference
+        temp, local = self.temp_local, self.ref_local
+        row0 = (by * TILE)[:, None, None]
+        col0 = (bx * TILE)[:, None, None]
+        # The input copy runs (ty, tx) over the tile plus its boundary row
+        # and column; the other loops run (t, s) over the tile (compute's
+        # ty, tx are t + 1, s + 1).
+        ty, tx = np.ogrid[0:TILE + 1, 0:TILE + 1]
+        t, s = np.ogrid[0:TILE, 0:TILE]
+        return in_sequence(
+            # Copy input tile (+ boundary) into the local temp (Listing 1).
+            sites(inp.addr(row0 + ty, col0 + tx), temp.addr(ty, tx)),
+            # Copy reference tile into the local ref.
+            sites(ref.addr(row0 + 1 + t, col0 + 1 + s), local.addr(t, s)),
+            # Compute on the locals (cache-resident: few misses, Table 4's
+            # tiny-contribution compute loops); the same for every tile.
+            sites(
+                temp.addr(t, s), temp.addr(t, s + 1), temp.addr(t + 1, s),
+                local.addr(t, s), temp.addr(t + 1, s + 1),
+            )[None],
+            # Write the tile back.
+            sites(temp.addr(t + 1, s + 1), inp.addr(row0 + 1 + t, col0 + 1 + s)),
+        )
+
+    def _traceback(self) -> TraceBatch:
         # needle.cpp:320 - walk the optimal path from the bottom-right.
-        ip = self._ips[320]
-        i = j = self.n
-        while i > 0 and j > 0:
-            yield self.load(ip, self.input_itemsets.addr(i - 1, j - 1), size=4)
-            yield self.load(ip, self.input_itemsets.addr(i - 1, j), size=4)
-            yield self.load(ip, self.input_itemsets.addr(i, j - 1), size=4)
-            i -= 1
-            j -= 1
+        inp = self.input_itemsets
+        i = np.arange(self.n, 0, -1)  # i == j along the walk
+        return LoopBody([(self._ips[320], AccessKind.LOAD)] * 3, size=4).batch(
+            sites(inp.addr(i - 1, i - 1), inp.addr(i - 1, i), inp.addr(i, i - 1))
+        )

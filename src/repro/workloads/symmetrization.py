@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+import numpy as np
+
 from repro.analysis.descriptors import AffineAccess, affine2d
-from repro.trace.record import MemoryAccess
-from repro.workloads.base import Array2D, TraceWorkload
+from repro.trace.batch import TraceBatch, rebatch
+from repro.trace.record import AccessKind
+from repro.workloads.base import Array2D, LoopBody, TraceWorkload, outer_blocks, sites
 
 #: The paper's matrix order.
 DEFAULT_N = 128
@@ -68,14 +71,25 @@ class SymmetrizationWorkload(TraceWorkload):
         """The paper's 64-byte-per-row fix."""
         return cls(n=n, pad_bytes=DEFAULT_PAD, sweeps=sweeps)
 
-    def trace(self) -> Iterator[MemoryAccess]:
+    def trace(self) -> Iterator[TraceBatch]:
+        return rebatch(self._chunks())
+
+    def _chunks(self) -> Iterator[TraceBatch]:
+        """Runs of i rows."""
         a = self.a
+        body = LoopBody(
+            [
+                (self.ip_row, AccessKind.LOAD),
+                (self.ip_col, AccessKind.LOAD),
+                (self.ip_store, AccessKind.STORE),
+            ],
+            size=8,
+        )
+        j = np.arange(self.n)
         for _sweep in range(self.sweeps):
-            for i in range(self.n):
-                for j in range(self.n):
-                    yield self.load(self.ip_row, a.addr(i, j))
-                    yield self.load(self.ip_col, a.addr(j, i))
-                    yield self.store(self.ip_store, a.addr(i, j))
+            for rows in outer_blocks(np.arange(self.n), len(body) * self.n):
+                i = rows[:, None]
+                yield body.batch(sites(a.addr(i, j), a.addr(j, i), a.addr(i, j)))
 
     def access_patterns(self) -> List[AffineAccess]:
         """Static descriptors for the three access sites of line 5.

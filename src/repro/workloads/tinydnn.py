@@ -15,8 +15,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.trace.record import MemoryAccess
-from repro.workloads.base import Array1D, Array2D, TraceWorkload
+import numpy as np
+
+from repro.trace.batch import TraceBatch, rebatch
+from repro.trace.record import AccessKind
+from repro.workloads.base import (
+    Array1D, Array2D, LoopBody, TraceWorkload, outer_blocks, sites,
+)
 
 #: tiny-dnn stores weights as float.
 FLOAT_SIZE = 4
@@ -90,12 +95,21 @@ class TinyDnnFcWorkload(TraceWorkload):
             in_size=in_size, out_size=out_size, pad_elements=DEFAULT_PAD_ELEMENTS
         )
 
-    def trace(self) -> Iterator[MemoryAccess]:
+    def trace(self) -> Iterator[TraceBatch]:
+        return rebatch(self._chunks())
+
+    def _chunks(self) -> Iterator[TraceBatch]:
+        """Runs of output neurons."""
         ip = self.ip_mac
+        body = LoopBody(
+            [(ip, AccessKind.LOAD), (ip, AccessKind.LOAD), (ip, AccessKind.STORE)],
+            size=FLOAT_SIZE,
+        )
+        c = np.arange(self.in_size)
         for _batch in range(self.batches):
-            for i in range(self.out_size):
-                for c in range(self.in_size):
-                    # W[c * out_size + i]: column walk of the weight matrix.
-                    yield self.load(ip, self.weights.addr(c, i), size=FLOAT_SIZE)
-                    yield self.load(ip, self.input.addr(c), size=FLOAT_SIZE)
-                    yield self.store(ip, self.activation.addr(i), size=FLOAT_SIZE)
+            for block in outer_blocks(np.arange(self.out_size), len(body) * c.size):
+                i = block[:, None]
+                # W[c * out_size + i]: column walk of the weight matrix.
+                yield body.batch(sites(
+                    self.weights.addr(c, i), self.input.addr(c), self.activation.addr(i)
+                ))

@@ -17,6 +17,7 @@ from repro.core.profiler import CCProf
 from repro.core.rcd import RcdAnalysis
 from repro.optimize.padding_advisor import recommend_pads_for_report
 from repro.pmu.periods import FixedPeriod
+from repro.trace.batch import as_access_stream
 from repro.workloads.adi import AdiWorkload
 from repro.workloads.symmetrization import SymmetrizationWorkload
 from repro.workloads.tinydnn import TinyDnnFcWorkload
@@ -49,7 +50,7 @@ class TestSampledAgreesWithExact:
         # Exact: every L1 miss through the simulator.
         cache = SetAssociativeCache(paper_l1)
         exact_sets = []
-        for access in workload.trace():
+        for access in as_access_stream(workload.trace()):
             if cache.access(access.address, access.ip).miss:
                 exact_sets.append(paper_l1.set_index(access.address))
         exact_cf = contribution_factor(

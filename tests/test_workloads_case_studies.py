@@ -9,6 +9,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.trace.batch import as_access_stream
 from repro.workloads.adi import AdiWorkload
 from repro.workloads.fft import Fft2dWorkload
 from repro.workloads.himeno import HimenoWorkload
@@ -138,8 +139,10 @@ class TestKripke:
         optimized = KripkeWorkload.optimized(zones=16, sweeps=1)
         # The transform reorders, it does not change psi work.
         assert (
-            sum(1 for a in original.trace() if a.ip == original.ip_psi)
-            == sum(1 for a in optimized.trace() if a.ip == optimized.ip_psi)
+            sum(1 for a in as_access_stream(original.trace()) if a.ip == original.ip_psi)
+            == sum(
+                1 for a in as_access_stream(optimized.trace()) if a.ip == optimized.ip_psi
+            )
         )
 
 
