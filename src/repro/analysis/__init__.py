@@ -14,13 +14,7 @@ dependents.
 """
 
 from repro.analysis.access import AccessPatternAnalysis, LoopAccessPattern
-from repro.analysis.descriptors import (
-    AccessDim,
-    AffineAccess,
-    affine1d,
-    affine2d,
-    affine3d,
-)
+from repro.analysis.descriptors import AccessDim, AffineAccess, affine2d
 from repro.analysis.framework import AnalysisCache, AnalysisPass
 from repro.analysis.model import StaticModel
 from repro.analysis.padding import StaticPaddingAnalysis
@@ -82,9 +76,7 @@ __all__ = [
     "StaticModel",
     "StaticPaddingAnalysis",
     "WindowPressure",
-    "affine1d",
     "affine2d",
-    "affine3d",
     "asymptotic_collision_probability",
     "cross_validate",
     "default_validation_suite",

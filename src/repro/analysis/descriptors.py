@@ -16,7 +16,7 @@ trace, no cache, no CFG.  Workloads declare them (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import AnalysisError
 
@@ -84,35 +84,6 @@ class AffineAccess:
         return f"{self.label}{parts} ({self.kind})"
 
 
-def _dims_from_strides(strides_extents: Iterable[Tuple[int, int]]) -> Tuple[AccessDim, ...]:
-    return tuple(AccessDim(stride=stride, extent=extent) for stride, extent in strides_extents)
-
-
-def affine1d(
-    array: object,
-    ip: int,
-    subscripts: Sequence[Tuple[int, int]],
-    kind: str = "load",
-    origin: int = 0,
-) -> AffineAccess:
-    """Describe an access to a 1-D array.
-
-    Args:
-        array: An ``Array1D`` (duck-typed: ``allocation``, ``elem_size``,
-            ``addr``).
-        ip: Issuing instruction address.
-        subscripts: One ``(index_coefficient, extent)`` per loop dimension,
-            outermost first; the subscript is ``origin + sum(coef * i_d)``.
-        kind: ``"load"`` or ``"store"``.
-        origin: Index of the first accessed element.
-    """
-    elem = int(array.elem_size)  # type: ignore[attr-defined]
-    base = int(array.addr(origin))  # type: ignore[attr-defined]
-    label = str(array.allocation.label)  # type: ignore[attr-defined]
-    dims = _dims_from_strides((coef * elem, extent) for coef, extent in subscripts)
-    return AffineAccess(ip=ip, label=label, base=base, elem_size=elem, dims=dims, kind=kind)
-
-
 def affine2d(
     array: object,
     ip: int,
@@ -136,38 +107,8 @@ def affine2d(
     elem = int(array.elem_size)  # type: ignore[attr-defined]
     base = int(array.addr(*origin))  # type: ignore[attr-defined]
     label = str(array.allocation.label)  # type: ignore[attr-defined]
-    dims = _dims_from_strides(
-        (row_coef * pitch + col_coef * elem, extent)
+    dims = tuple(
+        AccessDim(stride=row_coef * pitch + col_coef * elem, extent=extent)
         for row_coef, col_coef, extent in subscripts
-    )
-    return AffineAccess(ip=ip, label=label, base=base, elem_size=elem, dims=dims, kind=kind)
-
-
-def affine3d(
-    array: object,
-    ip: int,
-    subscripts: Sequence[Tuple[int, int, int, int]],
-    kind: str = "load",
-    origin: Tuple[int, int, int] = (0, 0, 0),
-) -> AffineAccess:
-    """Describe an access ``A[i][j][k]`` with affine subscripts.
-
-    Args:
-        array: An ``Array3D`` (duck-typed: ``extent1``, ``extent2``,
-            ``elem_size``, ``addr``, ``allocation``).
-        ip: Issuing instruction address.
-        subscripts: One ``(i_coef, j_coef, k_coef, extent)`` per loop
-            dimension, outermost first.
-        kind: ``"load"`` or ``"store"``.
-        origin: ``(i, j, k)`` of the first accessed element.
-    """
-    elem = int(array.elem_size)  # type: ignore[attr-defined]
-    plane = int(array.extent1) * int(array.extent2) * elem  # type: ignore[attr-defined]
-    row = int(array.extent2) * elem  # type: ignore[attr-defined]
-    base = int(array.addr(*origin))  # type: ignore[attr-defined]
-    label = str(array.allocation.label)  # type: ignore[attr-defined]
-    dims = _dims_from_strides(
-        (i_coef * plane + j_coef * row + k_coef * elem, extent)
-        for i_coef, j_coef, k_coef, extent in subscripts
     )
     return AffineAccess(ip=ip, label=label, base=base, elem_size=elem, dims=dims, kind=kind)

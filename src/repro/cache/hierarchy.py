@@ -21,7 +21,6 @@ from repro.cache.geometry import (
     CacheGeometry,
 )
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.stats import CacheStats
 from repro.trace.batch import TraceLike, as_access_stream
 from repro.trace.record import MemoryAccess
 
@@ -137,13 +136,6 @@ class CacheHierarchy:
             for name, cache in zip(self.names, self.levels)
         ]
         return HierarchyResult(levels=summaries)
-
-    def level_stats(self, name: str) -> CacheStats:
-        """Full :class:`CacheStats` of a level (per-set counters etc.)."""
-        for level_name, cache in zip(self.names, self.levels):
-            if level_name == name:
-                return cache.stats
-        raise KeyError(f"no cache level named {name!r}")
 
 
 def miss_reduction(before: HierarchyResult, after: HierarchyResult) -> List[float]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.rcd import RcdArrayAnalysis, RcdObservation
 from repro.obs.metrics import get_registry
-from repro.stats.distributions import Histogram, summarize
+from repro.stats.distributions import summarize
 
 
 class ConflictPeriodRun(NamedTuple):
@@ -161,10 +161,6 @@ class ConflictPeriodAnalysis:
             len(analysis.runs)
         )
         return analysis
-
-    def length_histogram(self) -> Histogram:
-        """Distribution of run lengths."""
-        return Histogram.from_values([run.length for run in self.runs])
 
     def mean_period(self) -> float:
         """Mean run length in observations (0 when there are no runs)."""

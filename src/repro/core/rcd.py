@@ -207,14 +207,6 @@ class RcdArrayAnalysis:
         """Number of RCD observations."""
         return int(self.rcd.size)
 
-    def to_analysis(self) -> "RcdAnalysis":
-        """Convert to the scalar :class:`RcdAnalysis` (for diffing)."""
-        return RcdAnalysis(
-            num_sets=self.num_sets,
-            observations=self.observations,
-            total_misses=self.total_misses,
-        )
-
     def histogram(self, set_index: Optional[int] = None) -> Histogram:
         """RCD histogram — for one set, or pooled across sets."""
         rcds = self.rcd

@@ -167,11 +167,6 @@ class SharedTraceArena:
         return int(capacity) * (24 + 9 * int(workers))
 
     @property
-    def nbytes(self) -> int:
-        """Mapped segment size in bytes."""
-        return self.required_bytes(self.capacity, self.workers)
-
-    @property
     def name(self) -> str:
         """Segment name (attachable; visible under ``/dev/shm``)."""
         if self._segment is None:

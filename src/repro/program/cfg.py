@@ -96,11 +96,6 @@ class ControlFlowGraph:
         """Predecessor block ids of ``block_id``."""
         return tuple(self._predecessors.get(block_id, ()))
 
-    @property
-    def block_ids(self) -> List[int]:
-        """All block ids in insertion order."""
-        return list(self._blocks)
-
     def __len__(self) -> int:
         return len(self._blocks)
 

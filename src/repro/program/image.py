@@ -68,12 +68,6 @@ class ProgramImage:
         self._starts: List[int] = []
         self._entries: List[Tuple[int, Function, BasicBlock]] = []
 
-    def add_function(self, function: Function) -> None:
-        """Register a function; invalidates the IP index."""
-        self.functions.append(function)
-        self._index_built = False
-        self.loop_forest.cache_clear()
-
     def _build_index(self) -> None:
         entries: List[Tuple[int, Function, BasicBlock]] = []
         for function in self.functions:

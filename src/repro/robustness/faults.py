@@ -40,11 +40,6 @@ class FaultReport:
     records_in: int = 0
     records_out: int = 0
 
-    @property
-    def total_injected(self) -> int:
-        """Sum of faults across all injectors."""
-        return sum(self.injected.values())
-
     def describe(self) -> str:
         """One-line rendering for CLI output."""
         if not self.injected:

@@ -169,11 +169,6 @@ class JobExecutor:
             get_registry().counter("service.pass_cache.models_built").inc()
         return cache
 
-    def pass_cache_size(self) -> int:
-        """Distinct workload specs with a cached static model."""
-        with self._cache_lock:
-            return len(self._pass_cache)
-
     # -- execution ------------------------------------------------------
 
     def execute(

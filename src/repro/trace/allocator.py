@@ -189,11 +189,6 @@ class VirtualAllocator:
         """Total bytes handed out, excluding alignment slack and guards."""
         return sum(a.size for a in self._allocations)
 
-    @property
-    def high_water_mark(self) -> int:
-        """One past the highest address handed out so far."""
-        return self._cursor
-
     def __iter__(self) -> Iterator[Allocation]:
         return iter(self._allocations)
 

@@ -243,10 +243,6 @@ class TraceBatch:
                 thread_id=thread_id,
             )
 
-    def to_list(self) -> List[MemoryAccess]:
-        """Materialize the batch as a list of scalar records."""
-        return list(self.to_accesses())
-
     # -- validation ----------------------------------------------------
 
     def validate(self) -> "TraceBatch":

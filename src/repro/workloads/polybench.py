@@ -201,18 +201,25 @@ class Jacobi2dWorkload(TraceWorkload):
             a, b = b, a
 
     def access_patterns(self) -> List[AffineAccess]:
-        """Static descriptors: row-order stencil (capacity, not conflict)."""
-        n, steps = self.n, self.steps
-        dims = [(0, 0, steps), (1, 0, n - 2), (0, 1, n - 2)]
-        ip = self.ip_stencil
-        return [
-            affine2d(self.a, ip, dims, origin=(1, 1)),
-            affine2d(self.a, ip, dims, origin=(1, 0)),
-            affine2d(self.a, ip, dims, origin=(1, 2)),
-            affine2d(self.a, ip, dims, origin=(0, 1)),
-            affine2d(self.a, ip, dims, origin=(2, 1)),
-            affine2d(self.b, ip, dims, kind="store", origin=(1, 1)),
-        ]
+        """Static descriptors: row-order stencil (capacity, not conflict).
+
+        The arrays swap roles every step: steps 0, 2, ... read A and write
+        B, steps 1, 3, ... read B and write A.
+        """
+        n, steps, ip = self.n, self.steps, self.ip_stencil
+        accesses = []
+        for src, dst, count in ((self.a, self.b, (steps + 1) // 2), (self.b, self.a, steps // 2)):
+            if count:
+                dims = [(0, 0, count), (1, 0, n - 2), (0, 1, n - 2)]
+                accesses += [
+                    affine2d(src, ip, dims, origin=(1, 1)),
+                    affine2d(src, ip, dims, origin=(1, 0)),
+                    affine2d(src, ip, dims, origin=(1, 2)),
+                    affine2d(src, ip, dims, origin=(0, 1)),
+                    affine2d(src, ip, dims, origin=(2, 1)),
+                    affine2d(dst, ip, dims, kind="store", origin=(1, 1)),
+                ]
+        return accesses
 
 
 class Fdtd2dWorkload(TraceWorkload):
