@@ -144,8 +144,6 @@ class TestColumnarBuilders:
             [1, 10, 11, 12, 13],
             [2, 10, 11, 12, 13],
         ]
-        nested = in_sequence(np.zeros((1, 2, 1)), np.ones((3, 2, 2)), ndim=2)
-        assert nested.shape == (3, 2, 3)
 
     def test_outer_blocks_cover_the_loop_in_order(self):
         values = np.arange(10)
