@@ -290,6 +290,13 @@ class RunManifest:
                     "    truncated: "
                     f"{self.sampling.get('truncation_reason')}"
                 )
+        kernel = [
+            ("compiled C loop" if status == "compiled" else f"Python loop ({status})")
+            + f": {batches} batches"
+            for status, batches in sorted(self.lru_kernel().items())
+        ]
+        if kernel:
+            lines.append("  lru kernel: " + ", ".join(kernel))
         if self.stage_timings:
             lines.append("  stages:")
             for name, seconds in sorted(
@@ -374,6 +381,23 @@ class RunManifest:
         return lines
 
     # -- convenience ---------------------------------------------------
+
+    def lru_kernel(self) -> Dict[str, int]:
+        """LRU batches per cache-kernel status (from the metric snapshot).
+
+        ``{"compiled": n}`` when the batched LRU simulation ran the
+        compiled C loop; a fallback reason (``no_compiler``,
+        ``build_failed``, ...) maps to the batches that ran the Python
+        loop instead.  Empty when the run simulated no LRU batch.
+        """
+        counters = self.metrics.get("counters", {}) if self.metrics else {}
+        kernel: Dict[str, int] = {}
+        for name, value in counters.items():
+            if name == "engine.kernel.compiled":
+                kernel["compiled"] = value
+            elif name.startswith("engine.kernel.fallback."):
+                kernel[name[len("engine.kernel.fallback."):]] = value
+        return kernel
 
     def tripped_budgets(self) -> List[str]:
         """Budget limits that stopped the run (from the metric snapshot).

@@ -4,7 +4,10 @@ A fast engine is only allowed to be *faster* — every observable
 (per-access hit/miss, evicted tags, cold bits, stats, RCD observations,
 captured samples, truncation state) must match the scalar per-access
 reference bit for bit, across all four replacement policies.  These
-tests are the contract that keeps the fast paths honest.
+tests are the contract that keeps the fast paths honest.  The cache and
+sampler cases run twice for LRU: on the compiled loop (wherever a C
+compiler is available) and, in the ``*PythonLoop`` subclasses, on the
+Python per-set loop it falls back to.
 
 The registry-driven half (:class:`TestRegistryDifferential`) parametrizes
 over the ``engine_backend`` fixture (every backend in the
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import lru_kernel
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.conflict_period import ConflictPeriodAnalysis
@@ -182,6 +186,29 @@ class TestSamplerDifferential:
         )
         assert scalar_events == batched_events
         assert scalar_result.samples == batched_result.samples
+
+
+@pytest.fixture(scope="class")
+def python_lru_loop():
+    """Switch the compiled LRU loop off for a class: LRU batches run the
+    Python per-set loop, the fallback on hosts without a C compiler."""
+    saved = lru_kernel._status
+    lru_kernel._status = lru_kernel.KernelStatus(None, "disabled")
+    try:
+        yield
+    finally:
+        lru_kernel._status = saved
+
+
+@pytest.mark.usefixtures("python_lru_loop")
+class TestCacheDifferentialPythonLoop(TestCacheDifferential):
+    """The cache cases above, on the Python loop instead of the compiled
+    one (which they use wherever a C compiler is available)."""
+
+
+@pytest.mark.usefixtures("python_lru_loop")
+class TestSamplerDifferentialPythonLoop(TestSamplerDifferential):
+    """The ``run_batched`` sampler cases above, on the Python loop."""
 
 
 class TestAnalysisDifferential:

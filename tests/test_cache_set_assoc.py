@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.trace.synthetic import zipf_trace
 from tests.conftest import make_load
 
 
@@ -35,6 +36,18 @@ class TestBasics:
         cache.reset()
         assert not cache.contains(0x1000)
         assert cache.stats.accesses == 0
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random", "plru"])
+    def test_reset_cache_equals_fresh_one(self, paper_l1, policy):
+        """reset() keeps the seed and clears all state, batched included."""
+        trace = list(zipf_trace(20_000, 2048, seed=7))
+        fresh = SetAssociativeCache(paper_l1, policy=policy, seed=5)
+        expected = [fresh.access(a.address).hit for a in trace]
+        cache = SetAssociativeCache(paper_l1, policy=policy, seed=5)
+        cache.run_trace_batched(iter(trace), 1000, split_lines=False)
+        cache.reset()
+        assert [cache.access(a.address).hit for a in trace] == expected
+        assert cache.stats.as_dict() == fresh.stats.as_dict()
 
 
 class TestConflictEviction:
